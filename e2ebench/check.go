@@ -9,40 +9,49 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	llm4vv "repro"
 	"repro/internal/metrics"
 	"repro/internal/rng"
 )
 
-//go:embed plan.json
-var planJSON []byte
-
 //go:embed expected.json
 var expectedJSON []byte
 
-// plan is the part of plan.json the benchmark runs on; the rest of the
-// file documents the workloads and the layer predictions.
-var plan struct {
-	DefaultSeed  uint64 `json:"default_seed"`
-	HeldOutSeed  uint64 `json:"held_out_seed"`
-	SetupRepeats int    `json:"setup_repeats"`
-	Interactive  struct {
-		Rates []struct {
-			Name string  `json:"name"`
-			RPS  float64 `json:"rps"`
-		} `json:"rates"`
-		LatencyLimitMS     float64 `json:"latency_limit_ms"`
-		MinRequestsPerRate int     `json:"min_requests_per_rate"`
-		MaxConnections     int     `json:"max_connections"`
-	} `json:"interactive"`
+// The benchmark's fixed settings. plan.json records where the
+// interactive ones came from (the calibration at the parent commit).
+const (
+	// defaultSeed keeps the paper's suite seeds; expected.json pins its
+	// digests and tables.
+	defaultSeed = 1
+	// heldOutSeed is never used while tuning a change; expected.json
+	// pins its digests.
+	heldOutSeed = 7919
+	// setupRepeats is how many times a run sets up; setup_s is the
+	// median.
+	setupRepeats = 3
+
+	// latencyLimit is the p99 an interactive rate must meet to count
+	// towards loadgen.max_rate_rps.
+	latencyLimit = 40 * time.Millisecond
+	// minRequestsPerRate leaves at least 10 samples beyond each rate's
+	// p99.
+	minRequestsPerRate = 1000
+	// maxConnections caps the interactive client's connections (nproc
+	// on the calibration machine).
+	maxConnections = 2
+)
+
+// rate is one fixed arrival rate of the interactive ladder.
+type rate struct {
+	name string
+	rps  float64
 }
 
-func init() {
-	if err := json.Unmarshal(planJSON, &plan); err != nil {
-		panic(fmt.Sprintf("plan.json: %v", err))
-	}
-}
+// ladder is the interactive rate ladder: low and mid on the flat part
+// of the latency curve, high at the last rate the fleet kept up with.
+var ladder = []rate{{"low", 100}, {"mid", 250}, {"high", 400}}
 
 // outcome is what a workload's outputs reduce to: a digest over its
 // per-file verdicts (and panel votes), plus the headline tables in
@@ -50,6 +59,10 @@ func init() {
 type outcome struct {
 	Digest string            `json:"digest"`
 	Tables map[string]string `json:"tables,omitempty"`
+	// part says which of the workload's input sets the outcome is of:
+	// part2-sweep takes part2Suites OpenACC suites in turn; the other
+	// workloads have one.
+	part int
 }
 
 // diff describes how o differs from want ("" when it matches). Tables
@@ -92,18 +105,15 @@ func newOutcome(lines []string, tables map[string]string) outcome {
 	return outcome{Digest: hex.EncodeToString(h.Sum(nil)), Tables: tables}
 }
 
-// expected returns the committed outcome for (workload, seed), or nil
-// when the seed has none and the outcome must be computed.
-func expected(workload string, seed uint64) (*outcome, error) {
-	var all map[string]map[string]outcome
+// expected returns the committed outcomes, one per part, for
+// (workload, seed), or nil when the seed has none and the outcomes
+// must be computed.
+func expected(workload string, seed uint64) ([]outcome, error) {
+	var all map[string]map[string][]outcome
 	if err := json.Unmarshal(expectedJSON, &all); err != nil {
 		return nil, fmt.Errorf("expected.json: %w", err)
 	}
-	o, ok := all[workload][strconv.FormatUint(seed, 10)]
-	if !ok {
-		return nil, nil
-	}
-	return &o, nil
+	return all[workload][strconv.FormatUint(seed, 10)], nil
 }
 
 // summaryText renders a scored summary: accuracy, bias and the
@@ -120,12 +130,18 @@ func summaryText(s metrics.Summary) string {
 	return b.String()
 }
 
-// suiteFor derives a suite from the workload seed. The default seed
-// keeps the paper's suite seeds, so its tables are the published
-// configuration; any other seed draws fresh suite seeds.
-func suiteFor(s llm4vv.SuiteSpec, seed uint64) llm4vv.SuiteSpec {
-	if seed != plan.DefaultSeed {
-		s.Seed = rng.New(seed).Split(fmt.Sprintf("suite/%v/%x", s.Dialect, s.Seed)).Uint64()
+// suiteFor derives the part-th suite of a kind from the workload seed.
+// Part 0 of the default seed keeps the paper's suite seed, so its
+// tables are the published configuration; every other (seed, part)
+// draws a fresh suite seed.
+func suiteFor(s llm4vv.SuiteSpec, seed uint64, part int) llm4vv.SuiteSpec {
+	if seed == defaultSeed && part == 0 {
+		return s
 	}
+	label := fmt.Sprintf("suite/%v/%x", s.Dialect, s.Seed)
+	if part > 0 {
+		label += fmt.Sprintf("/%d", part)
+	}
+	s.Seed = rng.New(seed).Split(label).Uint64()
 	return s
 }
