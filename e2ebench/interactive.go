@@ -150,12 +150,14 @@ func (e *interEnv) measure(ctx context.Context, d time.Duration, traced bool) (*
 	var lags, all []time.Duration
 	var answers []sent
 	k := 0
+	var cpu time.Duration
 	resetPeakRSS()
 	a0 := allocated()
 	for i, offs := range e.schedule(time.Duration(ladderShare * float64(d))) {
 		r := ladder[i]
 		res := make([]sent, len(offs))
 		var wg sync.WaitGroup
+		c0 := cpuTime()
 		start := time.Now()
 		for j, off := range offs {
 			due := start.Add(off)
@@ -170,6 +172,7 @@ func (e *interEnv) measure(ctx context.Context, d time.Duration, traced bool) (*
 			}(j, due)
 		}
 		wg.Wait()
+		cpu += cpuTime() - c0
 		k += len(offs)
 		var lat []time.Duration
 		failed := 0
@@ -194,7 +197,9 @@ func (e *interEnv) measure(ctx context.Context, d time.Duration, traced bool) (*
 			m.latP50, m.latP99 = p50, p99
 		}
 	}
+	c0 := cpuTime()
 	sat, perSec := e.saturate(ctx, k, d-time.Duration(ladderShare*float64(d)))
+	cpu += cpuTime() - c0
 	answers = append(answers, sat...)
 	m.allocBytes = allocated() - a0
 	m.rss = []float64{peakRSSMB()}
@@ -213,6 +218,9 @@ func (e *interEnv) measure(ctx context.Context, d time.Duration, traced bool) (*
 	}
 	m.layer["remote.retries"] = float64(e.rb.Retries() - retries)
 	m.slowdown = quantile(all, 0.50).Seconds()
+	// The CPU time covers the ladder's rates and the closed loop, the
+	// load generator's own small share included.
+	m.cpuMS = ms(cpu) / float64(max(m.ops, 1))
 	return m, nil
 }
 

@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 )
 
@@ -76,9 +77,14 @@ type measurement struct {
 	// mid-rate request times from when each request was due.
 	latP50, latP99 time.Duration
 	// sweepP50 and sweepP99 hold each sweep's verdict-time percentiles
-	// in seconds.
-	sweepP50, sweepP99 []float64
-	allocBytes         uint64
+	// in seconds, sweepCPU its CPU milliseconds per file and sweepPart
+	// the part it swept.
+	sweepP50, sweepP99, sweepCPU []float64
+	sweepPart                    []int
+	// cpuMS is the process's CPU time (user and system, every tier) in
+	// milliseconds per op.
+	cpuMS      float64
+	allocBytes uint64
 	// rss holds peak resident set sizes in MB: one per sweep, or one
 	// for the whole open loop.
 	rss []float64
@@ -250,10 +256,9 @@ func run(w workload, seed uint64, d time.Duration, traced, record bool) error {
 // printE2E fills the end-to-end metrics every workload reports.
 func printE2E(out map[string]metric, m *measurement, setup float64) {
 	out["setup_s"] = metric{setup, "s"}
-	out["files_per_s"] = metric{m.perSec, "1/s"}
+	out["cpu_ms_per_op"] = metric{m.cpuMS, "ms"}
 	out["peak_rss_mb"] = metric{median(m.rss), "MB"}
 	out["alloc_kb_per_op"] = metric{float64(m.allocBytes) / 1024 / float64(max(m.ops, 1)), "KB"}
-	out["lat_p50_ms"] = metric{ms(m.latP50), "ms"}
 }
 
 // perLayerCounters are the per-layer metrics that are not span
@@ -309,6 +314,8 @@ func printLayers(out map[string]metric, base, m *measurement, st map[string]Laye
 		out[c.name] = metric{v, c.unit}
 	}
 	out["failed_frac"] = metric{float64(m.failed+base.failed) / float64(max(m.ops+base.ops, 1)), "frac"}
+	out["files_per_s"] = metric{base.perSec, "1/s"}
+	out["lat_p50_ms"] = metric{ms(base.latP50), "ms"}
 	out["lat_p99_ms"] = metric{ms(base.latP99), "ms"}
 	out["trace.overhead_frac"] = metric{m.slowdown/base.slowdown - 1, "frac"}
 }
@@ -349,6 +356,15 @@ func printSelfTimes(path string) error {
 		fmt.Printf("%-18s %10.4f %8d %10.1f %10.1f\n", n, s.Self.Seconds(), s.Calls, float64(s.P50)/1e3, float64(s.P99)/1e3)
 	}
 	return nil
+}
+
+// cpuTime returns the process's user and system CPU time so far.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // resetPeakRSS restarts the kernel's peak-RSS watermark, so the next

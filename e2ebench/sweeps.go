@@ -113,18 +113,20 @@ func (m *measurement) moreSweeps(d time.Duration, rates []float64) bool {
 	return m.busy+m.busy/time.Duration(2*len(rates)) < d
 }
 
-// timeSweep times one sweep, adding its time, allocations, files, peak
-// RSS and median per-file verdict time to m, and returns its files per
-// second. A file's verdict time runs from the start of the sweep to
-// the progress event that delivers its verdict: every file of a sweep
-// is submitted at its start.
-func (m *measurement) timeSweep(files int, sweep func(progress llm4vv.Option) error) (float64, error) {
+// timeSweep times part's sweep, adding its time, CPU time,
+// allocations, files, peak RSS and median per-file verdict time to m,
+// and returns its files per second. A file's verdict time runs from
+// the start of the sweep to the progress event that delivers its
+// verdict: every file of a sweep is submitted at its start.
+func (m *measurement) timeSweep(part, files int, sweep func(progress llm4vv.Option) error) (float64, error) {
 	var verdicts latencies
 	a0 := allocated()
 	resetPeakRSS()
+	c0 := cpuTime()
 	t0 := time.Now()
 	err := sweep(llm4vv.WithProgress(func(llm4vv.Progress) { verdicts.add(time.Since(t0)) }))
 	took := time.Since(t0)
+	cpu := cpuTime() - c0
 	m.rss = append(m.rss, peakRSSMB())
 	m.allocBytes += allocated() - a0
 	if err != nil {
@@ -132,20 +134,43 @@ func (m *measurement) timeSweep(files int, sweep func(progress llm4vv.Option) er
 	}
 	m.busy += took
 	m.ops += files
+	m.sweepPart = append(m.sweepPart, part)
+	m.sweepCPU = append(m.sweepCPU, ms(cpu)/float64(files))
 	v := verdicts.take()
 	m.sweepP50 = append(m.sweepP50, quantile(v, 0.50).Seconds())
 	m.sweepP99 = append(m.sweepP99, quantile(v, 0.99).Seconds())
 	return float64(files) / took.Seconds(), nil
 }
 
-// finishSweeps reports the median sweep's rate, which a sweep slowed
-// by a passing disturbance does not move; verdict time and peak RSS
-// are likewise the median sweep's.
+// finishSweeps reports the sweeps' figures. Rates and CPU time per
+// file are each part's median sweep's, averaged over the parts, so a
+// sweep slowed by a passing disturbance does not move them and every
+// part's suite weighs the same however many sweeps it got; verdict
+// times and peak RSS are the median sweep's.
 func (m *measurement) finishSweeps(rates []float64) {
-	m.perSec = median(rates)
+	m.perSec = partMean(rates, m.sweepPart)
+	m.cpuMS = partMean(m.sweepCPU, m.sweepPart)
 	m.latP50 = time.Duration(median(m.sweepP50) * float64(time.Second))
 	m.latP99 = time.Duration(median(m.sweepP99) * float64(time.Second))
 	m.slowdown = 1 / m.perSec
+}
+
+// partMean averages, over the parts, the median of each part's
+// values.
+func partMean(xs []float64, parts []int) float64 {
+	var order []int
+	byPart := map[int][]float64{}
+	for i, x := range xs {
+		if _, ok := byPart[parts[i]]; !ok {
+			order = append(order, parts[i])
+		}
+		byPart[parts[i]] = append(byPart[parts[i]], x)
+	}
+	sum := 0.0
+	for _, p := range order {
+		sum += median(byPart[p])
+	}
+	return sum / float64(len(order))
 }
 
 // ---- part2-sweep ----
@@ -220,7 +245,7 @@ func (e *part2Env) measure(ctx context.Context, d time.Duration, traced bool) (*
 			return nil, err
 		}
 		var res []llm4vv.PartTwoResult
-		rate, err := m.timeSweep(totalFiles(e.specs(k)), func(progress llm4vv.Option) (err error) {
+		rate, err := m.timeSweep(k, totalFiles(e.specs(k)), func(progress llm4vv.Option) (err error) {
 			res, err = e.sweep(ctx, dir, e.specs(k), traced, progress)
 			return err
 		})
@@ -431,7 +456,7 @@ func (e *panelEnv) measure(ctx context.Context, d time.Duration, traced bool) (*
 	var rates []float64
 	for m.moreSweeps(d, rates) {
 		var res []llm4vv.PanelDialectResult
-		rate, err := m.timeSweep(totalFiles(e.specs), func(progress llm4vv.Option) (err error) {
+		rate, err := m.timeSweep(0, totalFiles(e.specs), func(progress llm4vv.Option) (err error) {
 			res, err = e.sweep(ctx, benchFleet, progress)
 			return err
 		})
