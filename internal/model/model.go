@@ -20,9 +20,10 @@ type Model struct {
 }
 
 // New returns a model with the given sampling seed. Equal seeds give
-// bit-identical behaviour.
+// bit-identical behaviour. Every Model scores with the one shared,
+// read-only n-gram.
 func New(seed uint64) *Model {
-	return &Model{seed: seed, ngram: NewNGram()}
+	return &Model{seed: seed, ngram: sharedNGram}
 }
 
 // Judgment is the structured trace of one completion, exposed for

@@ -10,10 +10,22 @@ import (
 // was trained on. It backs the plausibility feature: randomly
 // generated garbage scores far below real directive tests, and the
 // rationale generator quotes the score qualitatively.
+//
+// Train precomputes log2 of every probability Score can look up, so
+// scoring adds table values instead of taking a logarithm per trigram.
+// Score only reads, so concurrent Score calls are safe while no Train
+// runs.
 type NGram struct {
 	counts   map[string]int
 	context  map[string]int
 	vocabLen int
+	// logSeen holds log2 of each seen trigram's smoothed probability,
+	// logUnseen log2 of an unseen trigram's probability after each seen
+	// context, and logNovel the same after an unseen context. Keys are
+	// packed by key3 and key2.
+	logSeen   map[uint32]float64
+	logUnseen map[uint32]float64
+	logNovel  float64
 }
 
 // trainingCorpus is a small embedded sample of the kind of text a code
@@ -67,6 +79,10 @@ program vecadd
 end program vecadd
 `
 
+// sharedNGram is the model every Model scores with: it is trained once
+// on the constant embedded corpus and never trained again.
+var sharedNGram = NewNGram()
+
 // NewNGram trains the trigram model over the embedded corpus.
 func NewNGram() *NGram {
 	ng := &NGram{counts: map[string]int{}, context: map[string]int{}, vocabLen: 96}
@@ -74,14 +90,34 @@ func NewNGram() *NGram {
 	return ng
 }
 
-// Train adds text to the model.
+// Train adds text to the model and recomputes the log tables.
 func (ng *NGram) Train(text string) {
 	t := normalize(text)
 	for i := 0; i+3 <= len(t); i++ {
 		ng.counts[t[i:i+3]]++
 		ng.context[t[i:i+2]]++
 	}
+	ng.logSeen = make(map[uint32]float64, len(ng.counts))
+	for tri, c := range ng.counts {
+		ng.logSeen[key3(tri)] = ng.log2p(c, ng.context[tri[:2]])
+	}
+	ng.logUnseen = make(map[uint32]float64, len(ng.context))
+	for ctx, n := range ng.context {
+		ng.logUnseen[key2(ctx)] = ng.log2p(0, n)
+	}
+	ng.logNovel = ng.log2p(0, 0)
 }
+
+// log2p is log2 of the add-one smoothed probability of a trigram seen
+// c times after a context seen ctx times.
+func (ng *NGram) log2p(c, ctx int) float64 {
+	return math.Log2((float64(c) + 1) / (float64(ctx) + float64(ng.vocabLen)))
+}
+
+// key2 and key3 pack a two- or three-byte string into a map key.
+func key2(s string) uint32 { return uint32(s[0])<<8 | uint32(s[1]) }
+
+func key3(s string) uint32 { return uint32(s[0])<<16 | uint32(s[1])<<8 | uint32(s[2]) }
 
 // Score returns the average per-trigram log2 probability of text;
 // higher (less negative) is more plausible.
@@ -93,10 +129,14 @@ func (ng *NGram) Score(text string) float64 {
 	total := 0.0
 	n := 0
 	for i := 0; i+3 <= len(t); i++ {
-		c := ng.counts[t[i:i+3]]
-		ctx := ng.context[t[i:i+2]]
-		p := (float64(c) + 1) / (float64(ctx) + float64(ng.vocabLen))
-		total += math.Log2(p)
+		lp, ok := ng.logSeen[key3(t[i:i+3])]
+		if !ok {
+			lp, ok = ng.logUnseen[key2(t[i:i+2])]
+			if !ok {
+				lp = ng.logNovel
+			}
+		}
+		total += lp
 		n++
 	}
 	return total / float64(n)

@@ -14,6 +14,12 @@
 //     plausibly-shaped but invalid;
 //   - internal/model, whose feature extractor checks code against the
 //     same tables a real code LLM would have absorbed from training.
+//
+// Each dialect's table is built once, at package initialisation, and
+// every ForDialect, OpenACCSpec and OpenMPSpec call returns that same
+// process-wide *Spec. The tables are read-only after init and safe for
+// concurrent use: callers must never mutate a *Directive or its
+// Clauses map (TestSharedTablesNeverMutated guards this).
 package spec
 
 import (
@@ -134,13 +140,27 @@ var ReductionOps = []string{"+", "*", "max", "min", "&&", "||"}
 type Spec struct {
 	Dialect    Dialect
 	directives map[string]*Directive
+	// longestFirst holds every directive with its name split into
+	// words, most words first, for LongestDirective.
+	longestFirst []splitDirective
 	// MaxVersion is the highest specification version the simulated
 	// compiler accepts (e.g. 45 for OpenMP 4.5).
 	MaxVersion int
 }
 
+// splitDirective is a directive together with its name's words.
+type splitDirective struct {
+	words []string
+	dir   *Directive
+}
+
 // Lookup returns the directive with the given space-normalised name.
+// Keys are stored normalised, so an already-normalised name (the
+// common case) is found without normalising it again.
 func (s *Spec) Lookup(name string) (*Directive, bool) {
+	if d, ok := s.directives[name]; ok {
+		return d, true
+	}
 	d, ok := s.directives[normalize(name)]
 	return d, ok
 }
@@ -172,29 +192,22 @@ func (s *Spec) HasClause(dir, cl string) bool {
 // Directive grammars are word-greedy: "target teams distribute
 // parallel for" must win over "target".
 func (s *Spec) LongestDirective(words []string) (d *Directive, consumed int, ok bool) {
-	best := 0
-	var bestDir *Directive
-	for n := range s.directives {
-		parts := strings.Fields(n)
-		if len(parts) > len(words) || len(parts) <= best {
+	for _, sd := range s.longestFirst {
+		if len(sd.words) > len(words) {
 			continue
 		}
 		match := true
-		for i, p := range parts {
-			if words[i] != p {
+		for i, w := range sd.words {
+			if words[i] != w {
 				match = false
 				break
 			}
 		}
 		if match {
-			best = len(parts)
-			bestDir = s.directives[n]
+			return sd.dir, len(sd.words), true
 		}
 	}
-	if bestDir == nil {
-		return nil, 0, false
-	}
-	return bestDir, best, true
+	return nil, 0, false
 }
 
 func normalize(name string) string {
@@ -206,7 +219,14 @@ func buildSpec(d Dialect, maxVersion int, dirs []*Directive) *Spec {
 	for _, dir := range dirs {
 		m[normalize(dir.Name)] = dir
 	}
-	return &Spec{Dialect: d, directives: m, MaxVersion: maxVersion}
+	split := make([]splitDirective, len(dirs))
+	for i, dir := range dirs {
+		split[i] = splitDirective{words: strings.Fields(dir.Name), dir: dir}
+	}
+	// Two names of equal length never prefix the same input, so the
+	// first match in most-words-first order is the longest.
+	sort.SliceStable(split, func(i, j int) bool { return len(split[i].words) > len(split[j].words) })
+	return &Spec{Dialect: d, directives: m, longestFirst: split, MaxVersion: maxVersion}
 }
 
 // clauseSet builds a clause map from (name, arg) pairs declared with
@@ -259,9 +279,34 @@ var (
 	}
 )
 
-// OpenACCSpec returns the OpenACC 3.x specification table accepted by
-// the simulated nvc compiler.
-func OpenACCSpec() *Spec {
+// The process-wide tables, built once at init and never mutated.
+var (
+	openACCTable = buildOpenACC()
+	openMPTable  = buildOpenMP()
+)
+
+// OpenACCSpec returns the shared, read-only OpenACC 3.x specification
+// table accepted by the simulated nvc compiler.
+func OpenACCSpec() *Spec { return openACCTable }
+
+// OpenMPSpec returns the shared, read-only OpenMP specification table
+// restricted to version 4.5 and below, matching the paper's Part-Two
+// constraint that every feature present be fully supported by the
+// LLVM offloading compiler.
+func OpenMPSpec() *Spec { return openMPTable }
+
+// ForDialect returns the shared, read-only specification for the given
+// dialect.
+func ForDialect(d Dialect) *Spec {
+	if d == OpenACC {
+		return openACCTable
+	}
+	return openMPTable
+}
+
+// buildOpenACC builds the OpenACC table; only package init and tests
+// call it.
+func buildOpenACC() *Spec {
 	return buildSpec(OpenACC, 33, []*Directive{
 		{Name: "parallel", Clauses: clauseSet(accComputeClauses...), Association: AssocBlock, Version: 10},
 		{Name: "kernels", Clauses: clauseSet(accComputeClauses...), Association: AssocBlock, Version: 10},
@@ -350,11 +395,9 @@ func merge(groups ...[]Clause) map[string]ClauseArg {
 	return clauseSet(all...)
 }
 
-// OpenMPSpec returns the OpenMP specification table restricted to
-// version 4.5 and below, matching the paper's Part-Two constraint that
-// every feature present be fully supported by the LLVM offloading
-// compiler.
-func OpenMPSpec() *Spec {
+// buildOpenMP builds the OpenMP <= 4.5 table; only package init and
+// tests call it.
+func buildOpenMP() *Spec {
 	distClauses := []Clause{
 		cl("private", ArgVarList), cl("firstprivate", ArgVarList),
 		cl("lastprivate", ArgVarList), cl("collapse", ArgIntExpr),
@@ -396,14 +439,6 @@ func OpenMPSpec() *Spec {
 		{Name: "end declare target", Clauses: clauseSet(), Association: AssocNone, Standalone: true, Version: 40},
 		{Name: "threadprivate", Clauses: clauseSet(), Association: AssocNone, Standalone: true, Version: 10},
 	})
-}
-
-// ForDialect returns the specification for the given dialect.
-func ForDialect(d Dialect) *Spec {
-	if d == OpenACC {
-		return OpenACCSpec()
-	}
-	return OpenMPSpec()
 }
 
 // MapTypes lists the OpenMP map-type keywords valid in <= 4.5.

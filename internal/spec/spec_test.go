@@ -279,4 +279,68 @@ func TestForDialect(t *testing.T) {
 	if ForDialect(OpenMP).Dialect != OpenMP {
 		t.Fatal("ForDialect(OpenMP) wrong")
 	}
+	if ForDialect(OpenACC) != OpenACCSpec() || ForDialect(OpenMP) != OpenMPSpec() {
+		t.Fatal("ForDialect must return the shared per-dialect table")
+	}
+}
+
+// referenceLongestDirective is the original algorithm: split every
+// table name on every call and keep the longest that prefixes words.
+func referenceLongestDirective(s *Spec, words []string) (*Directive, int, bool) {
+	best := 0
+	var bestDir *Directive
+	for n := range s.directives {
+		parts := strings.Fields(n)
+		if len(parts) > len(words) || len(parts) <= best {
+			continue
+		}
+		match := true
+		for i, p := range parts {
+			if words[i] != p {
+				match = false
+				break
+			}
+		}
+		if match {
+			best = len(parts)
+			bestDir = s.directives[n]
+		}
+	}
+	if bestDir == nil {
+		return nil, 0, false
+	}
+	return bestDir, best, true
+}
+
+func TestLongestDirectiveMatchesReference(t *testing.T) {
+	tables := []*Spec{OpenACCSpec(), OpenMPSpec()}
+	inputs := [][]string{
+		nil,
+		{},
+		{"parallell"},
+		{"end"},
+		{"parallell", "loop"},
+		{"end", "declare"},
+	}
+	for _, s := range tables {
+		for _, name := range s.Directives() {
+			words := strings.Fields(name)
+			inputs = append(inputs, words)
+			for _, tail := range [][]string{{"copyin(a[0:n])"}, {"nowait"}, {"map(tofrom:a)", "private(i)"}, {"loop"}} {
+				inputs = append(inputs, append(append([]string{}, words...), tail...))
+			}
+			for k := 1; k < len(words); k++ {
+				inputs = append(inputs, words[:k:k])
+			}
+		}
+	}
+	for _, s := range tables {
+		for _, in := range inputs {
+			gd, gn, gok := s.LongestDirective(in)
+			wd, wn, wok := referenceLongestDirective(s, in)
+			if gd != wd || gn != wn || gok != wok {
+				t.Errorf("%v LongestDirective(%q) = %v/%d/%v, reference %v/%d/%v", s.Dialect, in, gd, gn, gok, wd, wn, wok)
+			}
+		}
+	}
 }
