@@ -67,6 +67,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/perf"
 	"repro/internal/remote"
+	"repro/internal/server"
 	"repro/internal/trace"
 )
 
@@ -77,10 +78,10 @@ func main() {
 	vnodes := flag.Int("vnodes", fleet.DefaultVnodes, "virtual nodes per replica on the hash ring")
 	loadFactor := flag.Float64("load-factor", fleet.DefaultLoadFactor, "bounded-load spill threshold over the fair per-replica share")
 	healthInterval := flag.Duration("health-interval", fleet.DefaultHealthInterval, "background replica health-check period")
-	queue := flag.Int("queue", fleet.DefaultQueueLimit, "admission: max in-flight prompts (interactive ceiling)")
+	queue := flag.Int("queue", server.DefaultQueueLimit, "admission: max in-flight prompts (interactive ceiling)")
 	bulkQueue := flag.Int("bulk-queue", 0, "admission ceiling for bulk-class requests (default: half of -queue)")
 	clientQuota := flag.Int("client-quota", 0, "max in-flight prompts per client, 0 = unlimited")
-	retryAfter := flag.Duration("retry-after", fleet.DefaultRetryAfter, "back-off hint sent with 429 responses")
+	retryAfter := flag.Duration("retry-after", server.DefaultRetryAfter, "back-off hint sent with 429 responses")
 	traceFile := flag.String("trace", "", "append JSONL trace fragments to this file (also enables /debug/traces)")
 	faultSpec := flag.String("fault", "", "chaos testing: seeded deterministic fault schedule, \"<seed>:point=kind[@freq][/dur][#count],...\" (see docs/OPERATIONS.md §8)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")

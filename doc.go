@@ -111,11 +111,7 @@
 //
 // The pre-redesign free functions (RunDirectProbing, RunPartTwo,
 // RunGenerationLoop, ...) remain as deprecated wrappers over a
-// default-configured Runner; likewise pipeline.Config's pre-DAG
-// scalar knobs (CompileWorkers, ExecWorkers, JudgeWorkers,
-// StageObserver) remain as deprecated fields that translate onto the
-// default graph's StageSpec values — migrate by moving each scalar
-// into the corresponding Config.Stages entry.
+// default-configured Runner.
 //
 // Every experiment is deterministic given its seeds. See DESIGN.md for
 // the system inventory, the Runner/Backend/Experiment architecture,

@@ -3,13 +3,10 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,12 +19,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Defaults for FrontendConfig zero values.
-const (
-	DefaultQueueLimit = 1024
-	DefaultRetryAfter = 50 * time.Millisecond
-)
-
 // FrontendConfig configures the router daemon's HTTP face. Router is
 // the only required field.
 type FrontendConfig struct {
@@ -35,7 +26,7 @@ type FrontendConfig struct {
 	// ID names this router instance in /healthz and /metrics labels.
 	ID string
 	// QueueLimit bounds total admitted in-flight prompts; interactive
-	// requests are admitted up to it. Default DefaultQueueLimit.
+	// requests are admitted up to it. Default server.DefaultQueueLimit.
 	QueueLimit int
 	// BulkLimit is the lower admission ceiling for bulk-class
 	// requests, so sweep traffic sheds (429) before interactive
@@ -46,7 +37,7 @@ type FrontendConfig struct {
 	// single runaway sweep cannot starve the fleet. 0 disables.
 	ClientQuota int
 	// RetryAfter is the back-off hint sent with 429 responses.
-	// Default DefaultRetryAfter.
+	// Default server.DefaultRetryAfter.
 	RetryAfter time.Duration
 	// Tracer, when set, joins inbound traces (propagation headers),
 	// records routing spans, serves /debug/traces, and feeds the
@@ -62,9 +53,11 @@ type FrontendConfig struct {
 	Fault *fault.Injector
 }
 
-// Frontend is the HTTP admission layer over a Router: the daemon wire
-// protocol plus priority-class load shedding, per-client quotas, and
-// Prometheus metrics. Construct with NewFrontend and mount Handler.
+// Frontend is the HTTP admission layer over a Router: the daemon's
+// completion handler set bound to priority-class load shedding,
+// per-client quotas, and routing, plus the router's own /healthz,
+// /v1/backends and Prometheus metrics. Construct with NewFrontend and
+// mount Handler.
 //
 // A request's priority class comes from the X-LLM4VV-Priority header
 // ("interactive" or "bulk"); absent the header, single-prompt
@@ -72,8 +65,9 @@ type FrontendConfig struct {
 // batch path is the sweep path, and overload should shed sweeps
 // before humans.
 type Frontend struct {
-	cfg FrontendConfig
-	rec *perf.Recorder
+	cfg   FrontendConfig
+	rec   *perf.Recorder
+	proto server.Protocol // the daemon's completion handlers, bound to this router
 
 	inflight atomic.Int64
 	mu       sync.Mutex
@@ -92,28 +86,32 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 		panic("fleet: FrontendConfig.Router is required")
 	}
 	if cfg.QueueLimit <= 0 {
-		cfg.QueueLimit = DefaultQueueLimit
+		cfg.QueueLimit = server.DefaultQueueLimit
 	}
 	if cfg.BulkLimit <= 0 || cfg.BulkLimit > cfg.QueueLimit {
 		cfg.BulkLimit = cfg.QueueLimit / 2
 	}
 	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
+		cfg.RetryAfter = server.DefaultRetryAfter
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	return &Frontend{cfg: cfg, rec: perf.NewRecorder(), clients: map[string]int64{}}
-}
-
-// join opens the router-side trace span for one request, continuing
-// the caller's trace when the propagation headers carry one.
-func (f *Frontend) join(r *http.Request, name string) (context.Context, *trace.Span) {
-	if f.cfg.Tracer == nil {
-		return r.Context(), nil
+	f := &Frontend{cfg: cfg, rec: perf.NewRecorder(), clients: map[string]int64{}}
+	f.proto = server.Protocol{
+		RequestSpan:   "router.request",
+		BatchSpan:     "router.batch_request",
+		Tracer:        cfg.Tracer,
+		RetryAfter:    cfg.RetryAfter,
+		Oversized:     f.oversized,
+		Admit:         f.admit,
+		Complete:      f.route,
+		CompleteBatch: f.routeBatch,
+		// A fleet with no replica able to serve is a true gateway
+		// failure, transient to retrying clients.
+		ErrorStatus: func(error) int { return http.StatusBadGateway },
 	}
-	traceHex, spanHex := trace.Extract(r.Header)
-	return f.cfg.Tracer.Join(r.Context(), traceHex, spanHex, name)
+	return f
 }
 
 // Stats is a snapshot of the admission counters.
@@ -131,23 +129,11 @@ func (f *Frontend) Stats() FrontendStats {
 // replica serves, so clients are none the wiser.
 func (f *Frontend) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/complete", f.handleComplete)
-	mux.HandleFunc("/v1/complete_batch", f.handleCompleteBatch)
+	f.proto.Mount(mux, nil)
 	mux.HandleFunc("/v1/backends", f.handleBackends)
 	mux.HandleFunc("/healthz", f.handleHealthz)
 	mux.HandleFunc("/metrics", f.handleMetrics)
-	mux.HandleFunc("/debug/traces", f.handleDebugTraces)
 	return mux
-}
-
-// handleDebugTraces serves the tracer's recent-fragment ring as a
-// JSON array; an empty array without a tracer, mirroring the daemon.
-func (f *Frontend) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	recent := f.cfg.Tracer.Recent()
-	if recent == nil {
-		recent = []trace.Record{}
-	}
-	writeJSON(w, http.StatusOK, recent)
 }
 
 // classOf resolves a request's priority class: the explicit header
@@ -177,44 +163,53 @@ func clientOf(r *http.Request) string {
 	return host
 }
 
-// admit reserves n prompt slots under the class ceiling and the
-// client quota, answering the 429 itself on refusal. The returned
-// release must run when the prompts resolve.
-func (f *Frontend) admit(w http.ResponseWriter, class, client string, n int) (release func(), ok bool) {
-	limit := int64(f.cfg.QueueLimit)
-	if class == remote.PriorityBulk {
-		limit = int64(f.cfg.BulkLimit)
+// oversized names the fix for a batch that can never be admitted: one
+// larger than the queue limit, than its class ceiling, or than the
+// client quota would draw 429s forever.
+func (f *Frontend) oversized(r *http.Request, n int) string {
+	switch {
+	case n > f.cfg.QueueLimit:
+		return fmt.Sprintf("batch of %d prompts exceeds the router queue limit %d; lower the client shard size or raise -queue", n, f.cfg.QueueLimit)
+	case classOf(r, true) == remote.PriorityBulk && n > f.cfg.BulkLimit:
+		return fmt.Sprintf("batch of %d prompts exceeds the router bulk-class ceiling %d; lower the client shard size or raise -bulk-queue", n, f.cfg.BulkLimit)
+	case f.cfg.ClientQuota > 0 && n > f.cfg.ClientQuota:
+		return fmt.Sprintf("batch of %d prompts exceeds the per-client in-flight quota %d; lower the client shard size or raise -client-quota", n, f.cfg.ClientQuota)
 	}
-	if f.inflight.Add(int64(n)) > limit {
+	return ""
+}
+
+// admit is the router's admission policy: n prompt slots under the
+// request's class ceiling and its client's quota. The returned release
+// runs when the prompts resolve.
+func (f *Frontend) admit(r *http.Request, span *trace.Span, n int, batch bool) (release func(), refusal string) {
+	class, client := classOf(r, batch), clientOf(r)
+	span.SetAttr("priority", class)
+	limit, shed, admitted := f.cfg.QueueLimit, &f.shedInteractive, &f.admittedInteractive
+	if class == remote.PriorityBulk {
+		limit, shed, admitted = f.cfg.BulkLimit, &f.shedBulk, &f.admittedBulk
+	}
+	if f.inflight.Add(int64(n)) > int64(limit) {
 		f.inflight.Add(int64(-n))
-		if class == remote.PriorityBulk {
-			f.shedBulk.Add(1)
-		} else {
-			f.shedInteractive.Add(1)
-		}
-		f.reject(w, fmt.Sprintf("router overloaded (%s class), retry later", class))
-		return nil, false
+		shed.Add(1)
+		f.logShed(span, class, client, n)
+		return nil, fmt.Sprintf("router overloaded (%s class), retry later", class)
 	}
 	if q := int64(f.cfg.ClientQuota); q > 0 {
 		if f.clientAdd(client, int64(n)) > q {
 			f.clientAdd(client, int64(-n))
 			f.inflight.Add(int64(-n))
 			f.quotaRejected.Add(1)
-			f.reject(w, fmt.Sprintf("client %q exceeds its in-flight quota of %d prompts, retry later", client, q))
-			return nil, false
+			f.logShed(span, class, client, n)
+			return nil, fmt.Sprintf("client %q exceeds its in-flight quota of %d prompts, retry later", client, q)
 		}
 	}
-	if class == remote.PriorityBulk {
-		f.admittedBulk.Add(int64(n))
-	} else {
-		f.admittedInteractive.Add(int64(n))
-	}
+	admitted.Add(int64(n))
 	return func() {
 		f.inflight.Add(int64(-n))
 		if f.cfg.ClientQuota > 0 {
 			f.clientAdd(client, int64(-n))
 		}
-	}, true
+	}, ""
 }
 
 // clientAdd adjusts one client's in-flight count, dropping zeroed
@@ -231,97 +226,28 @@ func (f *Frontend) clientAdd(client string, n int64) int64 {
 	return v
 }
 
-// reject answers a shed request: 429 with the fractional Retry-After
-// hint the remote client's backoff honours.
-func (f *Frontend) reject(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", strconv.FormatFloat(f.cfg.RetryAfter.Seconds(), 'f', -1, 64))
-	writeError(w, http.StatusTooManyRequests, msg)
-}
-
 // logShed records a 429 with the identity needed to attribute a shed
 // sweep afterwards: the trace (empty when the caller sent none), the
 // priority class, and the quota client.
 func (f *Frontend) logShed(span *trace.Span, class, client string, prompts int) {
-	span.SetAttr("shed", "true")
 	f.cfg.Logger.Warn("router: request shed (429)",
 		"trace_id", span.TraceHex(), "priority", class, "client", client, "prompts", prompts)
 }
 
-// statusFor maps a routing error: the requester's own context ending
-// is 504, a fleet with no replica able to serve is 502 — a true
-// gateway failure, transient to retrying clients.
-func statusFor(err error) int {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return http.StatusGatewayTimeout
-	}
-	return http.StatusBadGateway
+// route and routeBatch are the router's single and batch calls, timed
+// into the route and route_batch stage summaries.
+func (f *Frontend) route(ctx context.Context, prompt string) (string, error) {
+	defer f.observe("route", time.Now())
+	return f.cfg.Router.CompleteContext(ctx, prompt)
 }
 
-func (f *Frontend) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req server.CompleteRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if req.Prompt == "" {
-		writeError(w, http.StatusBadRequest, "empty prompt")
-		return
-	}
-	ctx, span := f.join(r, "router.request")
-	defer span.End()
-	class, client := classOf(r, false), clientOf(r)
-	span.SetAttr("priority", class)
-	release, ok := f.admit(w, class, client, 1)
-	if !ok {
-		f.logShed(span, class, client, 1)
-		return
-	}
-	defer release()
-	start := time.Now()
-	resp, err := f.cfg.Router.CompleteContext(ctx, req.Prompt)
-	f.rec.Observe("route", time.Since(start))
-	if err != nil {
-		span.SetAttr("error", err.Error())
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, server.CompleteResponse{Response: resp})
+func (f *Frontend) routeBatch(ctx context.Context, prompts []string) ([]string, error) {
+	defer f.observe("route_batch", time.Now())
+	return f.cfg.Router.CompleteBatch(ctx, prompts)
 }
 
-func (f *Frontend) handleCompleteBatch(w http.ResponseWriter, r *http.Request) {
-	var req server.CompleteBatchRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if len(req.Prompts) == 0 {
-		writeJSON(w, http.StatusOK, server.CompleteBatchResponse{Responses: []string{}})
-		return
-	}
-	class := classOf(r, true)
-	if len(req.Prompts) > f.cfg.QueueLimit {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d prompts exceeds the router queue limit %d; lower the client shard size or raise -queue", len(req.Prompts), f.cfg.QueueLimit))
-		return
-	}
-	ctx, span := f.join(r, "router.batch_request")
-	defer span.End()
-	client := clientOf(r)
-	span.SetAttr("priority", class)
-	span.SetAttr("prompts", strconv.Itoa(len(req.Prompts)))
-	release, ok := f.admit(w, class, client, len(req.Prompts))
-	if !ok {
-		f.logShed(span, class, client, len(req.Prompts))
-		return
-	}
-	defer release()
-	start := time.Now()
-	resps, err := f.cfg.Router.CompleteBatch(ctx, req.Prompts)
-	f.rec.Observe("route_batch", time.Since(start))
-	if err != nil {
-		span.SetAttr("error", err.Error())
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, server.CompleteBatchResponse{Responses: resps})
+func (f *Frontend) observe(stage string, start time.Time) {
+	f.rec.Observe(stage, time.Since(start))
 }
 
 // handleBackends answers /v1/backends on the fleet's behalf: the
@@ -358,7 +284,7 @@ func (f *Frontend) handleBackends(w http.ResponseWriter, r *http.Request) {
 		resp = info
 		break
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -376,7 +302,7 @@ func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// the remote client's Ping fail over to another router.
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, HealthResponse{
+	server.WriteJSON(w, status, HealthResponse{
 		OK:       ok,
 		RouterID: f.cfg.ID,
 		Replicas: replicas,
@@ -429,50 +355,15 @@ func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Emit(perf.FamRouterReplicaPrompts, prompts...)
 	p.Emit(perf.FamRouterReplicaFailures, failures...)
 	p.EmitSummaries(perf.FamRouterStageSeconds, f.rec.Snapshot(), router)
-	if exemplars := f.cfg.Tracer.SlowExemplars(); len(exemplars) > 0 {
-		samples := make([]perf.Sample, len(exemplars))
-		for i, ex := range exemplars {
-			samples[i] = perf.Sample{
-				Labels: [][2]string{router, perf.Label("stage", ex.Stage), perf.Label("trace_id", ex.Trace)},
-				Value:  time.Duration(ex.DurNS).Seconds(),
-			}
-		}
-		p.Emit(perf.FamTraceSlowExemplar, samples...)
-	}
+	f.proto.EmitSlowExemplars(p, router)
 	// The Router implements both optional resilience sources (Retries,
 	// BreakerStates), so the router exposition carries per-replica
 	// breaker gauges under the same families the daemon exports.
 	server.EmitResilience(p, f.cfg.Fault, f.cfg.Router, router)
 	if err := p.Err(); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		server.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write(buf.Bytes())
-}
-
-// readJSON / writeJSON / writeError mirror the daemon's handlers so
-// the router speaks the identical wire protocol, ErrorResponse bodies
-// included.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, server.ErrorResponse{Error: msg})
 }

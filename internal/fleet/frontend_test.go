@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -322,30 +323,50 @@ func TestFrontendMetrics(t *testing.T) {
 	_ = f
 }
 
-// TestFrontendBadRequests: malformed bodies, empty prompts, and wrong
-// methods answer with the daemon's error wire format.
-func TestFrontendBadRequests(t *testing.T) {
+// TestFrontendUnadmittableBatch413: a batch larger than its class
+// ceiling or the client quota can never be admitted, so it is a
+// permanent 413 naming the flag to raise — not a 429 the client would
+// retry forever and count as shedding.
+func TestFrontendUnadmittableBatch413(t *testing.T) {
 	a := newFakeReplica("a")
-	_, ts := startFrontend(t, FrontendConfig{ID: "r1", QueueLimit: 4}, a)
-	resp, err := http.Get(ts.URL + "/v1/complete")
-	if err != nil {
-		t.Fatal(err)
+	f, ts := startFrontend(t, FrontendConfig{ID: "r1", QueueLimit: 8, ClientQuota: 3}, a)
+	interactive := map[string]string{remote.PriorityHeader: remote.PriorityInteractive}
+	for _, c := range []struct {
+		name    string
+		prompts int
+		headers map[string]string
+		flag    string
+	}{
+		{"bulk over its ceiling of 4", 6, nil, "-bulk-queue"},
+		{"interactive over the quota of 3", 4, interactive, "-client-quota"},
+		{"bulk over the quota of 3", 4, nil, "-client-quota"},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/complete_batch", server.CompleteBatchRequest{Prompts: make([]string, c.prompts)}, c.headers)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413 (%s)", c.name, resp.StatusCode, body)
+			continue
+		}
+		var e server.ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, c.flag) {
+			t.Errorf("%s: body %s does not name %s", c.name, body, c.flag)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET complete status %d", resp.StatusCode)
+	if st := f.Stats(); st != (FrontendStats{}) {
+		t.Errorf("a 413 moved the admission counters: %+v", st)
 	}
-	r2, _ := postJSON(t, ts.URL+"/v1/complete", server.CompleteRequest{}, nil)
-	if r2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty prompt status %d", r2.StatusCode)
+	// The remote client gives up on a 413 at once instead of retrying.
+	rb := remote.New(ts.URL, remote.WithBackoff(time.Millisecond))
+	start := time.Now()
+	if _, err := rb.CompleteBatch(context.Background(), []string{"a", "b", "c", "d"}); err == nil {
+		t.Fatal("client accepted a batch over the client quota")
 	}
-	r3, _ := postJSON(t, ts.URL+"/v1/complete_batch", server.CompleteBatchRequest{Prompts: make([]string, 5)}, nil)
-	if r3.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized batch status %d", r3.StatusCode)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("client retried a permanent 413 for %v", elapsed)
 	}
-	r4, _ := postJSON(t, ts.URL+"/v1/complete_batch", server.CompleteBatchRequest{}, nil)
-	if r4.StatusCode != http.StatusOK {
-		t.Fatalf("empty batch status %d", r4.StatusCode)
+	// A batch within every limit is admitted.
+	resp, body := postJSON(t, ts.URL+"/v1/complete_batch", server.CompleteBatchRequest{Prompts: []string{"x", "y", "z"}}, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fitting batch status %d (%s)", resp.StatusCode, body)
 	}
 }
 

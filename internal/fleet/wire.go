@@ -1,8 +1,8 @@
 package fleet
 
 // Wire types of the router daemon's own endpoints. The completion
-// endpoints reuse the internal/server request/response bodies — the
-// router is wire-compatible with a daemon, which is why a remote
+// endpoints are the daemon's own handlers and bodies (server.Protocol)
+// — the router is wire-compatible with a daemon, which is why a remote
 // client cannot tell (and need not care) whether -serve-addr points at
 // a replica or a router.
 

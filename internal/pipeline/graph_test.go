@@ -97,11 +97,11 @@ func TestGraphStagesTopologicalOrder(t *testing.T) {
 func TestNegativeWorkersErrorFromRun(t *testing.T) {
 	inputs, _ := testInputs(t, spec.OpenACC, 4)
 	for _, cfg := range []Config{
-		{CompileWorkers: -1},
-		{ExecWorkers: -3},
-		{JudgeWorkers: -2},
+		{Stages: []StageSpec{{Name: StageCompile, Workers: -1}}},
+		{Stages: []StageSpec{{Name: StageExec, Workers: -3}}},
+		{Stages: []StageSpec{{Name: StageJudge, Workers: -2}}},
 		{Stages: []StageSpec{{Name: StageExec, Workers: -4}}},
-		{JudgeBatch: -16},
+		{Stages: []StageSpec{{Name: StageJudge, Batch: -16}}},
 	} {
 		cfg.Tools = acceptingConfig(spec.OpenACC, alwaysLLM{"valid"}, false).Tools
 		cfg.Judge = acceptingConfig(spec.OpenACC, alwaysLLM{"valid"}, false).Judge
@@ -111,7 +111,7 @@ func TestNegativeWorkersErrorFromRun(t *testing.T) {
 	}
 	// Zero stays the documented one-worker floor.
 	cfg := acceptingConfig(spec.OpenACC, alwaysLLM{"valid"}, false)
-	cfg.CompileWorkers, cfg.ExecWorkers, cfg.JudgeWorkers = 0, 0, 0
+	cfg.Stages = workers(0)
 	if _, _, err := Run(context.Background(), cfg, inputs); err != nil {
 		t.Fatalf("zero workers must mean one, got error %v", err)
 	}
@@ -133,29 +133,25 @@ func TestConfigStagesValidation(t *testing.T) {
 	}
 }
 
-// TestStageSpecLegacyParity pins the translation layer: the same run
-// configured through the deprecated scalar knobs and through Stages
-// produces identical results and stats.
-func TestStageSpecLegacyParity(t *testing.T) {
+// TestStageSpecParity: stage specs change scheduling, never results —
+// a run with wide pools and a batched judge produces the same results
+// and stats as the default one-worker, one-file specs.
+func TestStageSpecParity(t *testing.T) {
 	inputs, _ := testInputs(t, spec.OpenACC, 30)
 	for _, recordAll := range []bool{false, true} {
-		legacy := acceptingConfig(spec.OpenACC, alwaysLLM{"valid"}, recordAll)
-		legacy.JudgeBatch = 4
-		specd := Config{
-			Tools: legacy.Tools,
-			Judge: legacy.Judge,
-			Stages: []StageSpec{
-				{Name: StageCompile, Workers: 4},
-				{Name: StageExec, Workers: 4},
-				{Name: StageJudge, Workers: 4, Batch: 4},
-			},
-			RecordAll: recordAll,
+		defaults := acceptingConfig(spec.OpenACC, alwaysLLM{"valid"}, recordAll)
+		defaults.Stages = nil
+		specd := defaults
+		specd.Stages = []StageSpec{
+			{Name: StageCompile, Workers: 4},
+			{Name: StageExec, Workers: 4},
+			{Name: StageJudge, Workers: 4, Batch: 4},
 		}
 		got, gotStats := runBG(t, specd, inputs)
-		want, wantStats := runBG(t, legacy, inputs)
+		want, wantStats := runBG(t, defaults, inputs)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("recordAll=%v file %d: Stages run %+v != legacy run %+v", recordAll, i, got[i], want[i])
+				t.Fatalf("recordAll=%v file %d: Stages run %+v != default run %+v", recordAll, i, got[i], want[i])
 			}
 		}
 		if gotStats.Compiles != wantStats.Compiles || gotStats.Executions != wantStats.Executions ||

@@ -11,11 +11,9 @@
 // the Part-Two data (allowing the same run to score both the pipeline
 // and the agent-based judges on their own).
 //
-// Stages are configured by StageSpec (Config.Stages addresses the
-// built-in stages by name; NewGraph + RunGraph schedule arbitrary
-// DAGs of custom stages). The scalar Config knobs — CompileWorkers,
-// ExecWorkers, JudgeWorkers, StageObserver — remain as deprecated
-// wrappers that translate onto the default graph's specs.
+// Stages are configured by StageSpec: Config.Stages addresses the
+// built-in stages by name, and NewGraph + RunGraph schedule arbitrary
+// DAGs of custom stages.
 //
 // Run is context-aware: cancelling the context stops the stages
 // promptly and returns the results completed so far alongside the
@@ -28,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/agent"
 	"repro/internal/compiler"
@@ -72,30 +69,16 @@ type Config struct {
 	Judge *judge.Judge
 	// Stages overrides the built-in stages' specs by name
 	// (StageCompile, StageExec, StageJudge): each entry's non-zero
-	// fields replace that stage's defaults, zero fields inherit them
-	// (including the deprecated scalar knobs below, which supply the
-	// defaults during the migration). Unknown or duplicate names and
-	// negative Workers/Batch values are errors returned by Run.
-	// Custom stage DAGs go through NewGraph and RunGraph instead.
+	// fields replace that stage's defaults — one worker, one file per
+	// Run call, no observer — and zero fields inherit them. The judge
+	// stage's Batch caps how many queued files one worker submits in a
+	// single EvaluateBatch call; batching only changes how prompts
+	// reach the endpoint (judge.BatchLLM endpoints receive whole
+	// shards in one CompleteBatch call), never the verdicts. Unknown
+	// or duplicate names and negative Workers/Batch values are errors
+	// returned by Run. Custom stage DAGs go through NewGraph and
+	// RunGraph instead.
 	Stages []StageSpec
-	// CompileWorkers, ExecWorkers, and JudgeWorkers size the built-in
-	// stages' worker pools; 0 means 1, negative values are an error.
-	//
-	// Deprecated: set Stages with per-stage StageSpec values instead.
-	// The fields remain as the Stages defaults and will keep working.
-	CompileWorkers int
-	// Deprecated: see CompileWorkers.
-	ExecWorkers int
-	// Deprecated: see CompileWorkers.
-	JudgeWorkers int
-	// JudgeBatch caps how many queued files one judge worker submits
-	// to the endpoint in a single EvaluateBatch call (0 or 1 = one at
-	// a time). Batching only changes how prompts reach the endpoint —
-	// endpoints implementing judge.BatchLLM receive whole shards in
-	// one CompleteBatch call — never the verdicts, which stay
-	// byte-identical to per-file judging. Equivalent to (and the
-	// default for) the judge stage's StageSpec.Batch.
-	JudgeBatch int
 	// RecordAll disables short-circuiting so every stage runs for
 	// every file.
 	RecordAll bool
@@ -107,13 +90,6 @@ type Config struct {
 	// completion order, not input order. It is called from stage
 	// worker goroutines and must be safe for concurrent use.
 	OnResult func(FileResult)
-	// StageObserver, when set, receives the wall-clock duration of
-	// every stage execution — "compile" and "exec" once per file,
-	// "judge" once per endpoint batch. Applied to every built-in
-	// stage whose spec does not set its own Observe.
-	//
-	// Deprecated: set StageSpec.Observe per stage via Stages instead.
-	StageObserver func(stage string, d time.Duration)
 	// Tracer, when set, opens one trace per file — the root "file"
 	// span, child spans named after each stage that ran for it, and a
 	// "judge.batch" span under the first batched file's trace for each
@@ -124,24 +100,12 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// legacySpecs translates the deprecated scalar knobs onto the default
-// graph's StageSpec values. It is the compile-time-checked bridge
-// between the two surfaces: a Config field renamed or retyped breaks
-// this function, not silently the translation.
-func (cfg *Config) legacySpecs() []StageSpec {
-	return []StageSpec{
-		{Name: StageCompile, Workers: cfg.CompileWorkers, Observe: cfg.StageObserver},
-		{Name: StageExec, Workers: cfg.ExecWorkers, Observe: cfg.StageObserver},
-		{Name: StageJudge, Workers: cfg.JudgeWorkers, Batch: cfg.JudgeBatch, Observe: cfg.StageObserver},
-	}
-}
-
 // builtinSpecs resolves the effective specs of the default graph:
-// the deprecated scalar knobs supply the defaults, Config.Stages
-// overlays them by name (non-zero fields win), and the judge stage is
-// dropped when no judge is configured.
+// Config.Stages overlays the three default specs by name (non-zero
+// fields win), and the judge stage is dropped when no judge is
+// configured.
 func (cfg *Config) builtinSpecs() ([]StageSpec, error) {
-	specs := cfg.legacySpecs()
+	specs := []StageSpec{{Name: StageCompile}, {Name: StageExec}, {Name: StageJudge}}
 	seen := make(map[string]bool, len(cfg.Stages))
 	for _, o := range cfg.Stages {
 		if seen[o.Name] {
@@ -210,7 +174,8 @@ type Stats struct {
 	Compiles   int64
 	Executions int64
 	// JudgeCalls counts judged files; JudgeBatches counts endpoint
-	// round-trips (equal unless Config.JudgeBatch coalesced files).
+	// round-trips (equal unless the judge stage's Batch coalesced
+	// files).
 	JudgeCalls   int64
 	JudgeBatches int64
 }

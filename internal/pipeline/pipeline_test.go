@@ -60,14 +60,17 @@ func runBG(t testing.TB, cfg Config, inputs []Input) ([]FileResult, Stats) {
 	return results, st
 }
 
+// workers sizes every built-in stage's pool to n.
+func workers(n int) []StageSpec {
+	return []StageSpec{{Name: StageCompile, Workers: n}, {Name: StageExec, Workers: n}, {Name: StageJudge, Workers: n}}
+}
+
 func acceptingConfig(d spec.Dialect, llm judge.LLM, recordAll bool) Config {
 	return Config{
-		Tools:          agent.NewTools(d),
-		Judge:          &judge.Judge{LLM: llm, Style: judge.AgentDirect, Dialect: d},
-		CompileWorkers: 4,
-		ExecWorkers:    4,
-		JudgeWorkers:   4,
-		RecordAll:      recordAll,
+		Tools:     agent.NewTools(d),
+		Judge:     &judge.Judge{LLM: llm, Style: judge.AgentDirect, Dialect: d},
+		Stages:    workers(4),
+		RecordAll: recordAll,
 	}
 }
 
@@ -147,7 +150,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	var base []FileResult
 	for _, w := range []int{1, 2, 8} {
 		cfg := acceptingConfig(spec.OpenMP, alwaysLLM{"valid"}, true)
-		cfg.CompileWorkers, cfg.ExecWorkers, cfg.JudgeWorkers = w, w, w
+		cfg.Stages = workers(w)
 		results, _ := runBG(t, cfg, inputs)
 		if base == nil {
 			base = results

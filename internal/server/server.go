@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -37,17 +36,13 @@ const dedupPhase = "serve/completions"
 // on every path so clean shutdowns never read as internal errors.
 var errShuttingDown = errors.New("server shutting down")
 
-// statusFor classifies a resolution error: shutdown is 503, the
-// requester's own context ending is 504, anything else is a true 500.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, errShuttingDown):
+// errorStatus classifies a resolution error: shutdown is 503, anything
+// else is a true 500 (Protocol maps the requester's own context to 504).
+func errorStatus(err error) int {
+	if errors.Is(err, errShuttingDown) {
 		return http.StatusServiceUnavailable
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
 	}
+	return http.StatusInternalServerError
 }
 
 // Config configures a Server. LLM is the only required field.
@@ -122,7 +117,8 @@ type pending struct {
 // Server is the judging daemon. Construct with New, mount Handler on
 // an http.Server, and Close when done.
 type Server struct {
-	cfg Config
+	cfg   Config
+	proto Protocol // the completion handlers, bound to this daemon
 	// llm is the endpoint actually called: Config.LLM, wrapped at the
 	// "daemon.complete" fault point when chaos injection is armed.
 	// Config.LLM stays unwrapped for structural queries (Describe,
@@ -225,6 +221,17 @@ func New(cfg Config) *Server {
 	s.llm = fault.LLM(cfg.Fault, "daemon.complete", cfg.LLM)
 	s.batch, _ = s.llm.(judge.BatchLLM)
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
+	s.proto = Protocol{
+		RequestSpan:   "server.request",
+		BatchSpan:     "server.batch_request",
+		Tracer:        cfg.Tracer,
+		RetryAfter:    cfg.RetryAfter,
+		Oversized:     s.oversized,
+		Admit:         s.admit,
+		Complete:      s.enqueue,
+		CompleteBatch: s.completeBatch,
+		ErrorStatus:   errorStatus,
+	}
 	s.wg.Add(1)
 	go s.collect()
 	return s
@@ -264,24 +271,13 @@ func (s *Server) Stats() Stats {
 // Handler returns the daemon's route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/v1/complete", fault.Middleware(s.cfg.Fault, "daemon.handler", http.HandlerFunc(s.handleComplete)))
-	mux.Handle("/v1/complete_batch", fault.Middleware(s.cfg.Fault, "daemon.handler", http.HandlerFunc(s.handleCompleteBatch)))
+	s.proto.Mount(mux, func(h http.Handler) http.Handler {
+		return fault.Middleware(s.cfg.Fault, "daemon.handler", h)
+	})
 	mux.HandleFunc("/v1/backends", s.handleBackends)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/traces", s.handleDebugTraces)
 	return mux
-}
-
-// join opens the server-side trace span for one request, continuing
-// the caller's trace when the propagation headers carry one. With no
-// tracer configured it returns the context untouched and a nil span.
-func (s *Server) join(r *http.Request, name string) (context.Context, *trace.Span) {
-	if s.cfg.Tracer == nil {
-		return r.Context(), nil
-	}
-	traceHex, spanHex := trace.Extract(r.Header)
-	return s.cfg.Tracer.Join(r.Context(), traceHex, spanHex, name)
 }
 
 // collect is the micro-batcher: it takes the first queued prompt,
@@ -529,95 +525,52 @@ func (s *Server) completeEndpoint(ctx context.Context, prompts []string) ([]stri
 	return judge.CompleteAll(ctx, s.llm, prompts)
 }
 
-// admit reserves n prompt slots, reporting false — and answering the
-// request with 429 + Retry-After — when the daemon is at QueueLimit.
-func (s *Server) admit(w http.ResponseWriter, n int) bool {
+// admit reserves n prompt slots under QueueLimit. A single's slot is
+// freed when its pending resolves (flush, or the Close drain), not when
+// the handler returns, so a requester that gives up early cannot free
+// capacity its abandoned prompt still occupies.
+func (s *Server) admit(_ *http.Request, _ *trace.Span, n int, _ bool) (func(), string) {
 	if s.inflight.Add(int64(n)) > int64(s.cfg.QueueLimit) {
 		s.inflight.Add(int64(-n))
 		s.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.FormatFloat(s.cfg.RetryAfter.Seconds(), 'f', -1, 64))
-		writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
-		return false
+		return nil, "server overloaded, retry later"
 	}
-	return true
+	return nil, ""
 }
 
-func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req CompleteRequest
-	if !readJSON(w, r, &req) {
-		return
+// oversized names the fix for a shard that can never fit QueueLimit.
+func (s *Server) oversized(_ *http.Request, n int) string {
+	if n <= s.cfg.QueueLimit {
+		return ""
 	}
-	if req.Prompt == "" {
-		writeError(w, http.StatusBadRequest, "empty prompt")
-		return
-	}
-	ctx, span := s.join(r, "server.request")
-	defer span.End()
-	if !s.admit(w, 1) {
-		span.SetAttr("shed", "true")
-		return
-	}
-	// The slot is released when the pending resolves (flush, or the
-	// Close drain) — not when this handler returns — so a requester
-	// that gives up early cannot free capacity its abandoned prompt
-	// still occupies.
+	return fmt.Sprintf("batch of %d prompts exceeds the daemon queue limit %d; lower the client shard size or raise -queue", n, s.cfg.QueueLimit)
+}
+
+// enqueue hands one admitted prompt to the micro-batcher and waits for
+// its answer; if the requester gives up first, the coalesced batch
+// still completes for its other members.
+func (s *Server) enqueue(ctx context.Context, prompt string) (string, error) {
 	s.requests.Add(1)
-	p := &pending{ctx: ctx, prompt: req.Prompt, done: make(chan result, 1)}
+	p := &pending{ctx: ctx, prompt: prompt, done: make(chan result, 1)}
 	select {
 	case s.queue <- p:
 	case <-s.baseCtx.Done():
 		s.inflight.Add(-1)
-		writeError(w, http.StatusServiceUnavailable, errShuttingDown.Error())
-		return
+		return "", errShuttingDown
 	}
 	select {
 	case res := <-p.done:
-		if res.err != nil {
-			span.SetAttr("error", res.err.Error())
-			writeError(w, statusFor(res.err), res.err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, CompleteResponse{Response: res.resp})
-	case <-r.Context().Done():
-		// Client gone or deadline passed; the coalesced batch still
-		// completes for its other members.
-		writeError(w, http.StatusGatewayTimeout, r.Context().Err().Error())
+		return res.resp, res.err
+	case <-ctx.Done():
+		return "", ctx.Err()
 	}
 }
 
-func (s *Server) handleCompleteBatch(w http.ResponseWriter, r *http.Request) {
-	var req CompleteBatchRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if len(req.Prompts) == 0 {
-		writeJSON(w, http.StatusOK, CompleteBatchResponse{Responses: []string{}})
-		return
-	}
-	// A shard that can never fit is a configuration error, not
-	// overload: answer with a permanent 413 (clients retry 429
-	// forever to no avail) naming the fix.
-	if len(req.Prompts) > s.cfg.QueueLimit {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d prompts exceeds the daemon queue limit %d; lower the client shard size or raise -queue", len(req.Prompts), s.cfg.QueueLimit))
-		return
-	}
-	ctx, span := s.join(r, "server.batch_request")
-	defer span.End()
-	span.SetAttr("prompts", strconv.Itoa(len(req.Prompts)))
-	if !s.admit(w, len(req.Prompts)) {
-		span.SetAttr("shed", "true")
-		return
-	}
-	defer s.inflight.Add(int64(-len(req.Prompts)))
+// completeBatch resolves a whole shard, then frees its slots.
+func (s *Server) completeBatch(ctx context.Context, prompts []string) ([]string, error) {
+	defer s.inflight.Add(int64(-len(prompts)))
 	s.batchRequests.Add(1)
-	resps, err := s.resolve(ctx, req.Prompts)
-	if err != nil {
-		span.SetAttr("error", err.Error())
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, CompleteBatchResponse{Responses: resps})
+	return s.resolve(ctx, prompts)
 }
 
 func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
@@ -634,11 +587,11 @@ func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 	if p, ok := s.cfg.LLM.(interface{ Describe() ([]string, string) }); ok {
 		resp.PanelMembers, resp.PanelStrategy = p.Describe()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		OK:        true,
 		Backend:   s.cfg.Backend,
 		Seed:      s.cfg.Seed,
@@ -667,7 +620,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.EmitValue(perf.FamGatherDelay, time.Duration(st.GatherDelayNS).Seconds(), replica)
 	p.EmitValue(perf.FamInflight, float64(s.inflight.Load()), replica)
 	p.EmitSummaries(perf.FamStageSeconds, s.rec.Snapshot(), replica)
-	emitSlowExemplars(p, s.cfg.Tracer, replica)
+	s.proto.EmitSlowExemplars(p, replica)
 	EmitResilience(p, s.cfg.Fault, s.cfg.LLM, replica)
 	if s.cfg.Store != nil {
 		sst := s.cfg.Store.Stats()
@@ -677,48 +630,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.EmitValue(perf.FamStoreDropped, float64(sst.Dropped), replica)
 	}
 	if err := p.Err(); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write(buf.Bytes())
-}
-
-// handleDebugTraces serves the tracer's recent-fragment ring as a
-// JSON array — the quick look before reaching for the JSONL sink.
-// Without a tracer it serves an empty array, not an error, so probes
-// need no mode awareness.
-func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	writeDebugTraces(w, s.cfg.Tracer)
-}
-
-// writeDebugTraces renders a tracer's recent ring (shared with the
-// router's endpoint).
-func writeDebugTraces(w http.ResponseWriter, t *trace.Tracer) {
-	recent := t.Recent()
-	if recent == nil {
-		recent = []trace.Record{}
-	}
-	writeJSON(w, http.StatusOK, recent)
-}
-
-// emitSlowExemplars writes the llm4vv_trace_slow_exemplar family from
-// a tracer's reservoir: one gauge per retained exemplar, valued at
-// the span duration in seconds and labelled with the span name and
-// trace ID (shared with the router's /metrics).
-func emitSlowExemplars(p *perf.Prom, t *trace.Tracer, instance [2]string) {
-	exemplars := t.SlowExemplars()
-	if len(exemplars) == 0 {
-		return
-	}
-	samples := make([]perf.Sample, len(exemplars))
-	for i, ex := range exemplars {
-		samples[i] = perf.Sample{
-			Labels: [][2]string{instance, perf.Label("stage", ex.Stage), perf.Label("trace_id", ex.Trace)},
-			Value:  time.Duration(ex.DurNS).Seconds(),
-		}
-	}
-	p.Emit(perf.FamTraceSlowExemplar, samples...)
 }
 
 // EmitResilience writes the llm4vv_resilience_* families: injected
@@ -760,28 +676,4 @@ func EmitResilience(p *perf.Prom, inj *fault.Injector, source any, instance [2]s
 		samples[i] = perf.Sample{Labels: [][2]string{instance, perf.Label("target", st.ID)}, Value: float64(st.State)}
 	}
 	p.Emit(perf.FamResilienceBreakerState, samples...)
-}
-
-// readJSON decodes a POST body, answering 405/400 itself on failure.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: msg})
 }

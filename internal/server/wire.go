@@ -6,6 +6,11 @@
 //	GET  /v1/backends                           -> what is served and registered
 //	GET  /healthz                               -> liveness plus serving stats
 //	GET  /metrics                               -> Prometheus text exposition
+//	GET  /debug/traces                          -> recent trace fragments
+//
+// The completion routes and /debug/traces are Protocol, the one handler
+// set llm4vv-router mounts too; each side supplies only its admission
+// policy, its single and batch calls, and its error mapping.
 //
 // The server's core is a dynamic micro-batcher: concurrent single-
 // prompt requests are coalesced — up to Config.BatchMaxSize prompts,
