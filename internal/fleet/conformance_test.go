@@ -96,19 +96,21 @@ func TestWireConformance(t *testing.T) {
 		name, method, path, body string
 		want                     int
 		wantBody                 string // exact success body, when set
+		wantType                 string // success Content-Type, when set
 	}{
-		{"get single", http.MethodGet, "/v1/complete", "", http.StatusMethodNotAllowed, ""},
-		{"get batch", http.MethodGet, "/v1/complete_batch", "", http.StatusMethodNotAllowed, ""},
-		{"empty prompt", http.MethodPost, "/v1/complete", `{"prompt":""}`, http.StatusBadRequest, ""},
-		{"missing prompt", http.MethodPost, "/v1/complete", `{}`, http.StatusBadRequest, ""},
-		{"garbage single", http.MethodPost, "/v1/complete", `{garbage`, http.StatusBadRequest, ""},
-		{"garbage batch", http.MethodPost, "/v1/complete_batch", `{garbage`, http.StatusBadRequest, ""},
-		{"empty batch", http.MethodPost, "/v1/complete_batch", `{"prompts":[]}`, http.StatusOK, `{"responses":[]}` + "\n"},
-		{"missing batch", http.MethodPost, "/v1/complete_batch", `{}`, http.StatusOK, `{"responses":[]}` + "\n"},
-		{"oversized batch", http.MethodPost, "/v1/complete_batch", `{"prompts":["a","b","c","d","e"]}`, http.StatusRequestEntityTooLarge, ""},
-		{"single", http.MethodPost, "/v1/complete", `{"prompt":"x"}`, http.StatusOK, ""},
-		{"batch that fits", http.MethodPost, "/v1/complete_batch", `{"prompts":["a","b","c","d"]}`, http.StatusOK, ""},
-		{"debug traces", http.MethodGet, "/debug/traces", "", http.StatusOK, "[]\n"},
+		{"get single", http.MethodGet, "/v1/complete", "", http.StatusMethodNotAllowed, "", ""},
+		{"get batch", http.MethodGet, "/v1/complete_batch", "", http.StatusMethodNotAllowed, "", ""},
+		{"empty prompt", http.MethodPost, "/v1/complete", `{"prompt":""}`, http.StatusBadRequest, "", ""},
+		{"missing prompt", http.MethodPost, "/v1/complete", `{}`, http.StatusBadRequest, "", ""},
+		{"garbage single", http.MethodPost, "/v1/complete", `{garbage`, http.StatusBadRequest, "", ""},
+		{"garbage batch", http.MethodPost, "/v1/complete_batch", `{garbage`, http.StatusBadRequest, "", ""},
+		{"empty batch", http.MethodPost, "/v1/complete_batch", `{"prompts":[]}`, http.StatusOK, `{"responses":[]}` + "\n", ""},
+		{"missing batch", http.MethodPost, "/v1/complete_batch", `{}`, http.StatusOK, `{"responses":[]}` + "\n", ""},
+		{"oversized batch", http.MethodPost, "/v1/complete_batch", `{"prompts":["a","b","c","d","e"]}`, http.StatusRequestEntityTooLarge, "", ""},
+		{"single", http.MethodPost, "/v1/complete", `{"prompt":"x"}`, http.StatusOK, "", ""},
+		{"batch that fits", http.MethodPost, "/v1/complete_batch", `{"prompts":["a","b","c","d"]}`, http.StatusOK, "", ""},
+		{"debug traces", http.MethodGet, "/debug/traces", "", http.StatusOK, "[]\n", ""},
+		{"metrics", http.MethodGet, "/metrics", "", http.StatusOK, "", "text/plain; version=0.0.4; charset=utf-8"},
 	}
 	for _, target := range wireTargets(t, nil) {
 		for _, c := range cases {
@@ -118,6 +120,9 @@ func TestWireConformance(t *testing.T) {
 			}
 			if c.wantBody != "" && string(body) != c.wantBody {
 				t.Errorf("%s %s: body %q want %q", target.name, c.name, body, c.wantBody)
+			}
+			if ct := resp.Header.Get("Content-Type"); c.wantType != "" && ct != c.wantType {
+				t.Errorf("%s %s: Content-Type %q want %q", target.name, c.name, ct, c.wantType)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log/slog"
@@ -320,50 +319,44 @@ func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	router := perf.Label("router", f.cfg.ID)
 	rs := f.cfg.Router.Stats()
 	fs := f.Stats()
-	var buf bytes.Buffer
-	p := perf.NewProm(&buf)
-	p.Emit(perf.FamRouterAdmitted,
-		perf.Sample{Labels: [][2]string{router, perf.Label("priority", remote.PriorityInteractive)}, Value: float64(fs.AdmittedInteractive)},
-		perf.Sample{Labels: [][2]string{router, perf.Label("priority", remote.PriorityBulk)}, Value: float64(fs.AdmittedBulk)},
-	)
-	p.Emit(perf.FamRouterShed,
-		perf.Sample{Labels: [][2]string{router, perf.Label("priority", remote.PriorityInteractive)}, Value: float64(fs.ShedInteractive)},
-		perf.Sample{Labels: [][2]string{router, perf.Label("priority", remote.PriorityBulk)}, Value: float64(fs.ShedBulk)},
-	)
-	p.EmitValue(perf.FamRouterQuotaRejected, float64(fs.QuotaRejected), router)
-	p.EmitValue(perf.FamRouterRequests, float64(rs.Requests), router)
-	p.EmitValue(perf.FamRouterBatchRequests, float64(rs.BatchRequests), router)
-	p.EmitValue(perf.FamRouterRoutedPrompts, float64(rs.RoutedPrompts), router)
-	p.EmitValue(perf.FamRouterFailovers, float64(rs.Failovers), router)
-	p.EmitValue(perf.FamRouterSpills, float64(rs.Spills), router)
-	p.EmitValue(perf.FamRouterInflight, float64(f.inflight.Load()), router)
-	replicas := f.cfg.Router.Replicas()
-	healthy := make([]perf.Sample, len(replicas))
-	prompts := make([]perf.Sample, len(replicas))
-	failures := make([]perf.Sample, len(replicas))
-	for i, st := range replicas {
-		labels := [][2]string{router, perf.Label("replica", st.Addr)}
-		v := 0.0
-		if st.Healthy {
-			v = 1
+	server.WriteMetrics(w, func(p *perf.Prom) {
+		p.Emit(perf.FamRouterAdmitted,
+			perf.Sample{Labels: [][2]string{router, perf.Label("priority", remote.PriorityInteractive)}, Value: float64(fs.AdmittedInteractive)},
+			perf.Sample{Labels: [][2]string{router, perf.Label("priority", remote.PriorityBulk)}, Value: float64(fs.AdmittedBulk)},
+		)
+		p.Emit(perf.FamRouterShed,
+			perf.Sample{Labels: [][2]string{router, perf.Label("priority", remote.PriorityInteractive)}, Value: float64(fs.ShedInteractive)},
+			perf.Sample{Labels: [][2]string{router, perf.Label("priority", remote.PriorityBulk)}, Value: float64(fs.ShedBulk)},
+		)
+		p.EmitValue(perf.FamRouterQuotaRejected, float64(fs.QuotaRejected), router)
+		p.EmitValue(perf.FamRouterRequests, float64(rs.Requests), router)
+		p.EmitValue(perf.FamRouterBatchRequests, float64(rs.BatchRequests), router)
+		p.EmitValue(perf.FamRouterRoutedPrompts, float64(rs.RoutedPrompts), router)
+		p.EmitValue(perf.FamRouterFailovers, float64(rs.Failovers), router)
+		p.EmitValue(perf.FamRouterSpills, float64(rs.Spills), router)
+		p.EmitValue(perf.FamRouterInflight, float64(f.inflight.Load()), router)
+		replicas := f.cfg.Router.Replicas()
+		healthy := make([]perf.Sample, len(replicas))
+		prompts := make([]perf.Sample, len(replicas))
+		failures := make([]perf.Sample, len(replicas))
+		for i, st := range replicas {
+			labels := [][2]string{router, perf.Label("replica", st.Addr)}
+			v := 0.0
+			if st.Healthy {
+				v = 1
+			}
+			healthy[i] = perf.Sample{Labels: labels, Value: v}
+			prompts[i] = perf.Sample{Labels: labels, Value: float64(st.Prompts)}
+			failures[i] = perf.Sample{Labels: labels, Value: float64(st.Failures)}
 		}
-		healthy[i] = perf.Sample{Labels: labels, Value: v}
-		prompts[i] = perf.Sample{Labels: labels, Value: float64(st.Prompts)}
-		failures[i] = perf.Sample{Labels: labels, Value: float64(st.Failures)}
-	}
-	p.Emit(perf.FamRouterReplicaHealthy, healthy...)
-	p.Emit(perf.FamRouterReplicaPrompts, prompts...)
-	p.Emit(perf.FamRouterReplicaFailures, failures...)
-	p.EmitSummaries(perf.FamRouterStageSeconds, f.rec.Snapshot(), router)
-	f.proto.EmitSlowExemplars(p, router)
-	// The Router implements both optional resilience sources (Retries,
-	// BreakerStates), so the router exposition carries per-replica
-	// breaker gauges under the same families the daemon exports.
-	server.EmitResilience(p, f.cfg.Fault, f.cfg.Router, router)
-	if err := p.Err(); err != nil {
-		server.WriteError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(buf.Bytes())
+		p.Emit(perf.FamRouterReplicaHealthy, healthy...)
+		p.Emit(perf.FamRouterReplicaPrompts, prompts...)
+		p.Emit(perf.FamRouterReplicaFailures, failures...)
+		p.EmitSummaries(perf.FamRouterStageSeconds, f.rec.Snapshot(), router)
+		f.proto.EmitSlowExemplars(p, router)
+		// The Router implements both optional resilience sources (Retries,
+		// BreakerStates), so the router exposition carries per-replica
+		// breaker gauges under the same families the daemon exports.
+		server.EmitResilience(p, f.cfg.Fault, f.cfg.Router, router)
+	})
 }

@@ -83,7 +83,7 @@ type Features struct {
 func ExtractFeatures(src string, d spec.Dialect, ng *NGram) Features {
 	ft := Features{Dialect: d}
 	ft.Lines = strings.Count(src, "\n") + 1
-	ft.TokenCount = len(Tokenize(src))
+	ft.TokenCount = countTokens(src)
 	if ng != nil {
 		ft.Plausibility = ng.Score(src)
 	}

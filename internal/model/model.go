@@ -15,15 +15,16 @@ import (
 // the paper's LLMJ configurations come entirely from the prompt, as
 // they did on the real model.
 type Model struct {
-	seed  uint64
-	ngram *NGram
+	seed uint64
 }
 
 // New returns a model with the given sampling seed. Equal seeds give
 // bit-identical behaviour. Every Model scores with the one shared,
-// read-only n-gram.
+// read-only n-gram and reads features through the one shared memo,
+// so models judging the same code at once (panel seats) extract it
+// once.
 func New(seed uint64) *Model {
-	return &Model{seed: seed, ngram: sharedNGram}
+	return &Model{seed: seed}
 }
 
 // Judgment is the structured trace of one completion, exposed for
@@ -77,7 +78,7 @@ func (m *Model) Judge(prompt string) (Judgment, string) {
 	if style != StyleDirect {
 		tool = parseToolInfo(head)
 	}
-	ft := ExtractFeatures(code, d, m.ngram)
+	ft := sharedFeatures.get(code, d)
 	cat := Categorize(ft)
 	p := calibrationFor(style, d).pInvalid(cat, tool)
 	coin := rng.New(m.seed).Split(prompt)

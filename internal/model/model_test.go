@@ -112,6 +112,19 @@ func TestTokenizerNeverPanics(t *testing.T) {
 	}
 }
 
+// TestCountTokensMatchesTokenize: the feature path's token count is
+// the length of the token list, for every generated source and a few
+// degenerate texts (an all-underscore identifier is one word; a
+// string cut off after a backslash ends at the end of the text).
+func TestCountTokensMatchesTokenize(t *testing.T) {
+	texts := append(scoringTexts(), "_", "__ a__b", "/* open", `"open`, `"open\`, "!$acc x", "CamelCase_x9y")
+	for i, src := range texts {
+		if got, want := countTokens(src), len(Tokenize(src)); got != want {
+			t.Fatalf("text %d: countTokens = %d, len(Tokenize) = %d", i, got, want)
+		}
+	}
+}
+
 func TestNGramSeparatesCodeFromGarbage(t *testing.T) {
 	ng := NewNGram()
 	code := ng.Score(validTestCode)

@@ -29,18 +29,35 @@ func referenceScore(ng *NGram, text string) float64 {
 	return total / float64(n)
 }
 
-// scoringTexts returns generated suites of both dialects in every
+// generatedSource is one generated suite file, possibly mutated, with
+// the dialect it is judged as.
+type generatedSource struct {
+	dialect spec.Dialect
+	src     string
+}
+
+// generatedSources returns generated suites of both dialects in every
 // language, each file with all of its probe mutants.
-func scoringTexts() []string {
-	texts := []string{"", "ab", "abc", "flarb quon ## <<< zeta:: }{ @"}
+func generatedSources() []generatedSource {
+	var out []generatedSource
 	langs := []testlang.Language{testlang.LangC, testlang.LangCPP, testlang.LangFortran}
 	for _, d := range []spec.Dialect{spec.OpenACC, spec.OpenMP} {
 		files := corpus.Generate(corpus.Config{Dialect: d, Langs: langs, Seed: 11, UnsupportedFraction: 0.14, BrittleFraction: 0.05}, 80)
 		for _, f := range files {
 			for issue := probe.Issue(0); issue < probe.NumIssues; issue++ {
-				texts = append(texts, probe.Mutate(f, issue, rng.New(uint64(issue)).Split(f.Name)).Source)
+				out = append(out, generatedSource{d, probe.Mutate(f, issue, rng.New(uint64(issue)).Split(f.Name)).Source})
 			}
 		}
+	}
+	return out
+}
+
+// scoringTexts returns a few degenerate texts and every generated
+// source.
+func scoringTexts() []string {
+	texts := []string{"", "ab", "abc", "flarb quon ## <<< zeta:: }{ @"}
+	for _, g := range generatedSources() {
+		texts = append(texts, g.src)
 	}
 	return texts
 }
@@ -65,7 +82,11 @@ func TestNGramScoreBitIdentical(t *testing.T) {
 }
 
 func TestModelsShareOneNGram(t *testing.T) {
-	if New(1).ngram != New(2).ngram {
-		t.Fatal("each Model trained its own n-gram")
+	want := sharedNGram.Score(validTestCode)
+	for _, seed := range []uint64{1, 2} {
+		j, _ := New(seed).Judge(directPrompt(spec.OpenACC, validTestCode))
+		if j.Features.Plausibility != want {
+			t.Fatalf("model %d scored %v, shared n-gram %v", seed, j.Features.Plausibility, want)
+		}
 	}
 }

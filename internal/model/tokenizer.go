@@ -39,6 +39,27 @@ type Token struct {
 // numbers, strings, comments and operator runs.
 func Tokenize(src string) []Token {
 	var toks []Token
+	scan(src, func(kind TokenKind, text string) {
+		if kind == TokWord {
+			text = strings.ToLower(text)
+		}
+		toks = append(toks, Token{Kind: kind, Text: text})
+	})
+	return toks
+}
+
+// countTokens returns len(Tokenize(src)) without building the tokens:
+// the feature extractor only needs the count.
+func countTokens(src string) int {
+	n := 0
+	scan(src, func(TokenKind, string) { n++ })
+	return n
+}
+
+// scan is the tokenizer's one walk over src: it calls emit for every
+// token in order. Word tokens are emitted as they appear in src; the
+// lower-casing of subwords is Tokenize's concern.
+func scan(src string, emit func(kind TokenKind, text string)) {
 	i := 0
 	n := len(src)
 	for i < n {
@@ -51,7 +72,7 @@ func Tokenize(src string) []Token {
 			for j < n && src[j] != '\n' {
 				j++
 			}
-			toks = append(toks, Token{Kind: TokComment, Text: src[i:j]})
+			emit(TokComment, src[i:j])
 			i = j
 		case c == '/' && i+1 < n && src[i+1] == '*':
 			j := i + 2
@@ -61,20 +82,20 @@ func Tokenize(src string) []Token {
 			if j+1 < n {
 				j += 2
 			}
-			toks = append(toks, Token{Kind: TokComment, Text: src[i:j]})
+			emit(TokComment, src[i:j])
 			i = j
 		case c == '!' && isFortranCommentStart(src, i):
 			j := i
 			for j < n && src[j] != '\n' {
 				j++
 			}
-			toks = append(toks, Token{Kind: TokComment, Text: src[i:j]})
+			emit(TokComment, src[i:j])
 			i = j
 		case c == '"' || c == '\'':
 			q := c
 			j := i + 1
 			for j < n && src[j] != q {
-				if src[j] == '\\' {
+				if src[j] == '\\' && j+1 < n {
 					j++
 				}
 				j++
@@ -82,7 +103,7 @@ func Tokenize(src string) []Token {
 			if j < n {
 				j++
 			}
-			toks = append(toks, Token{Kind: TokString, Text: src[i:j]})
+			emit(TokString, src[i:j])
 			i = j
 		case isDigit(c):
 			j := i
@@ -90,14 +111,14 @@ func Tokenize(src string) []Token {
 				src[j] == 'e' || src[j] == 'E' || src[j] == 'f' || src[j] == 'L') {
 				j++
 			}
-			toks = append(toks, Token{Kind: TokNumber, Text: src[i:j]})
+			emit(TokNumber, src[i:j])
 			i = j
 		case isWordStart(c):
 			j := i
 			for j < n && isWordCont(src[j]) {
 				j++
 			}
-			toks = append(toks, subWords(src[i:j])...)
+			subWords(src[i:j], emit)
 			i = j
 		default:
 			j := i
@@ -109,11 +130,10 @@ func Tokenize(src string) []Token {
 			if j == i {
 				j++
 			}
-			toks = append(toks, Token{Kind: TokOp, Text: src[i:j]})
+			emit(TokOp, src[i:j])
 			i = j
 		}
 	}
-	return toks
 }
 
 // isFortranCommentStart distinguishes Fortran comments from the C
@@ -129,13 +149,16 @@ func isFortranCommentStart(src string, i int) bool {
 }
 
 // subWords splits a long identifier at underscores and camelCase
-// boundaries, mimicking BPE-style subword segmentation.
-func subWords(w string) []Token {
-	var out []Token
+// boundaries, mimicking BPE-style subword segmentation, and emits each
+// piece as a word token. An identifier with no piece (all
+// underscores) is emitted whole.
+func subWords(w string, emit func(TokenKind, string)) {
 	start := 0
+	emitted := false
 	flush := func(end int) {
 		if end > start {
-			out = append(out, Token{Kind: TokWord, Text: strings.ToLower(w[start:end])})
+			emit(TokWord, w[start:end])
+			emitted = true
 		}
 	}
 	for i := 1; i < len(w); i++ {
@@ -150,25 +173,12 @@ func subWords(w string) []Token {
 		}
 	}
 	flush(len(w))
-	if len(out) == 0 {
-		out = append(out, Token{Kind: TokWord, Text: strings.ToLower(w)})
+	if !emitted {
+		emit(TokWord, w)
 	}
-	return out
 }
 
 func isDigit(c byte) bool     { return c >= '0' && c <= '9' }
 func isUpper(c byte) bool     { return c >= 'A' && c <= 'Z' }
 func isWordStart(c byte) bool { return c == '_' || c == '#' || (c|0x20 >= 'a' && c|0x20 <= 'z') }
 func isWordCont(c byte) bool  { return isWordStart(c) || isDigit(c) }
-
-// WordSet returns the distinct lower-cased word tokens of src, used by
-// the feature extractor.
-func WordSet(src string) map[string]bool {
-	out := map[string]bool{}
-	for _, t := range Tokenize(src) {
-		if t.Kind == TokWord {
-			out[t.Text] = true
-		}
-	}
-	return out
-}

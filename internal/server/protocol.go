@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -184,6 +185,21 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteMetrics answers a /metrics scrape on both sides: emit writes
+// the families into a buffer, and the exposition goes out as
+// Prometheus text only when every family rendered, else a 500.
+func WriteMetrics(w http.ResponseWriter, emit func(p *perf.Prom)) {
+	var buf bytes.Buffer
+	p := perf.NewProm(&buf)
+	emit(p)
+	if err := p.Err(); err != nil {
+		WriteError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_, _ = w.Write(buf.Bytes())
 }
 
 // WriteError writes the ErrorResponse body of every non-2xx response.

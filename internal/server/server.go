@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -608,33 +607,27 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	replica := perf.Label("replica", s.cfg.ReplicaID)
-	var buf bytes.Buffer
-	p := perf.NewProm(&buf)
-	p.EmitValue(perf.FamRequests, float64(st.Requests), replica)
-	p.EmitValue(perf.FamBatchRequests, float64(st.BatchRequests), replica)
-	p.EmitValue(perf.FamRejected, float64(st.Rejected), replica)
-	p.EmitValue(perf.FamEndpointCalls, float64(st.EndpointCalls), replica)
-	p.EmitValue(perf.FamEndpointPrompts, float64(st.EndpointPrompts), replica)
-	p.EmitValue(perf.FamCoalescedBatches, float64(st.Coalesced), replica)
-	p.EmitValue(perf.FamStoreHits, float64(st.StoreHits), replica)
-	p.EmitValue(perf.FamGatherDelay, time.Duration(st.GatherDelayNS).Seconds(), replica)
-	p.EmitValue(perf.FamInflight, float64(s.inflight.Load()), replica)
-	p.EmitSummaries(perf.FamStageSeconds, s.rec.Snapshot(), replica)
-	s.proto.EmitSlowExemplars(p, replica)
-	EmitResilience(p, s.cfg.Fault, s.cfg.LLM, replica)
-	if s.cfg.Store != nil {
-		sst := s.cfg.Store.Stats()
-		p.EmitValue(perf.FamStoreKeys, float64(sst.Keys), replica)
-		p.EmitValue(perf.FamStoreSegments, float64(sst.SegmentCount()), replica)
-		p.EmitValue(perf.FamStoreActiveBytes, float64(sst.ActiveBytes), replica)
-		p.EmitValue(perf.FamStoreDropped, float64(sst.Dropped), replica)
-	}
-	if err := p.Err(); err != nil {
-		WriteError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(buf.Bytes())
+	WriteMetrics(w, func(p *perf.Prom) {
+		p.EmitValue(perf.FamRequests, float64(st.Requests), replica)
+		p.EmitValue(perf.FamBatchRequests, float64(st.BatchRequests), replica)
+		p.EmitValue(perf.FamRejected, float64(st.Rejected), replica)
+		p.EmitValue(perf.FamEndpointCalls, float64(st.EndpointCalls), replica)
+		p.EmitValue(perf.FamEndpointPrompts, float64(st.EndpointPrompts), replica)
+		p.EmitValue(perf.FamCoalescedBatches, float64(st.Coalesced), replica)
+		p.EmitValue(perf.FamStoreHits, float64(st.StoreHits), replica)
+		p.EmitValue(perf.FamGatherDelay, time.Duration(st.GatherDelayNS).Seconds(), replica)
+		p.EmitValue(perf.FamInflight, float64(s.inflight.Load()), replica)
+		p.EmitSummaries(perf.FamStageSeconds, s.rec.Snapshot(), replica)
+		s.proto.EmitSlowExemplars(p, replica)
+		EmitResilience(p, s.cfg.Fault, s.cfg.LLM, replica)
+		if s.cfg.Store != nil {
+			sst := s.cfg.Store.Stats()
+			p.EmitValue(perf.FamStoreKeys, float64(sst.Keys), replica)
+			p.EmitValue(perf.FamStoreSegments, float64(sst.SegmentCount()), replica)
+			p.EmitValue(perf.FamStoreActiveBytes, float64(sst.ActiveBytes), replica)
+			p.EmitValue(perf.FamStoreDropped, float64(sst.Dropped), replica)
+		}
+	})
 }
 
 // EmitResilience writes the llm4vv_resilience_* families: injected
