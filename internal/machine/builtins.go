@@ -34,7 +34,7 @@ func (ex *exec) evalCall(n *testlang.CallExpr) value {
 			return nullVal()
 		}
 		bytes := ex.eval(n.Args[0]).asInt()
-		if bytes < 0 || bytes > 1<<28 {
+		if bytes < 0 || bytes > maxBlockCells {
 			return nullVal()
 		}
 		return refVal(ref{blk: newHeapBlock(bytes)})
@@ -45,7 +45,7 @@ func (ex *exec) evalCall(n *testlang.CallExpr) value {
 		count := ex.eval(n.Args[0]).asInt()
 		size := ex.eval(n.Args[1]).asInt()
 		total := count * size
-		if total < 0 || total > 1<<28 {
+		if total < 0 || total > maxBlockCells {
 			return nullVal()
 		}
 		return refVal(ref{blk: newHeapBlock(total)})
@@ -54,7 +54,7 @@ func (ex *exec) evalCall(n *testlang.CallExpr) value {
 			return intVal(0)
 		}
 		v := ex.eval(n.Args[0])
-		if v.k == kNull || (v.k == kInt && v.i == 0) {
+		if v.isNullPtr() {
 			return intVal(0) // free(NULL) is a no-op
 		}
 		r, ok := refOf(v)
@@ -140,7 +140,7 @@ func (ex *exec) doPrintfTo(args []testlang.Expr, toErr bool) value {
 	if s, ok := args[0].(*testlang.StringLitExpr); ok {
 		format = s.Value
 	} else {
-		format = ex.eval(args[0]).s
+		format = ex.eval(args[0]).str()
 	}
 	vals := make([]value, 0, len(args)-1)
 	for _, a := range args[1:] {
@@ -226,7 +226,7 @@ func formatC(format string, args []value) string {
 		case 'g', 'G':
 			fmt.Fprintf(&b, spec+"g", next().asFloat())
 		case 's':
-			fmt.Fprintf(&b, spec+"s", next().s)
+			fmt.Fprintf(&b, spec+"s", next().str())
 		case 'c':
 			b.WriteByte(byte(next().asInt()))
 		case 'p':

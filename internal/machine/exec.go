@@ -22,33 +22,50 @@ type exec struct {
 	redundant bool
 	// callDepth guards against runaway recursion.
 	callDepth int
+	// scoped is false while the innermost Block or for statement has
+	// not opened its scope yet: env is still the enclosing scope, and
+	// the statement's first declaration opens one (see openScope).
+	// Statements that declare nothing allocate no scope.
+	scoped bool
 }
 
 // child returns an exec sharing everything but using a nested scope.
 func (ex *exec) child(e *env) *exec {
 	c := *ex
 	c.env = e
+	c.scoped = true
 	return &c
 }
 
-// place is an assignable storage location.
-type place interface {
-	load() value
-	store(v value)
+// openScope gives the innermost Block or for statement its own scope
+// before its first declaration.
+func (ex *exec) openScope() {
+	if !ex.scoped {
+		ex.env = newEnv(ex.env)
+		ex.scoped = true
+	}
 }
 
-type cellPlace struct{ c *cell }
-
-func (p cellPlace) load() value   { return p.c.v }
-func (p cellPlace) store(v value) { p.c.v = v }
-
-type elemPlace struct {
+// place is an assignable storage location: a variable's cell, or
+// element off of blk when c is nil.
+type place struct {
+	c   *cell
 	blk *block
 	off int
 }
 
-func (p elemPlace) load() value { return p.blk.cells[p.off] }
-func (p elemPlace) store(v value) {
+func (p place) load() value {
+	if p.c != nil {
+		return p.c.v
+	}
+	return p.blk.cells[p.off]
+}
+
+func (p place) store(v value) {
+	if p.c != nil {
+		p.c.v = v
+		return
+	}
 	p.blk.cells[p.off] = convertTo(v, p.blk.elem)
 }
 
@@ -56,19 +73,23 @@ func (p elemPlace) store(v value) {
 func (ex *exec) declareVar(v *testlang.VarDecl, into *env) {
 	if len(v.ArrayDims) > 0 {
 		dims := make([]int, len(v.ArrayDims))
+		cells := int64(1)
 		for i, dimExpr := range v.ArrayDims {
 			if dimExpr == nil {
 				dims[i] = 0
 				continue
 			}
 			d := ex.eval(dimExpr).asInt()
-			if d < 0 || d > 1<<24 {
+			if d < 0 || d > maxBlockCells {
 				panic(trapSignal{kind: "bad-alloc", rc: 1, msg: "array dimension out of range"})
+			}
+			if cells *= d; cells > maxBlockCells {
+				panic(trapSignal{kind: "bad-alloc", rc: 1, msg: "array size out of range"})
 			}
 			dims[i] = int(d)
 		}
 		blk := newArrayBlock(v.Name, testlang.Type{Base: v.Type.Base}, dims)
-		into.declare(v.Name, refVal(ref{blk: blk, dims: dims}))
+		into.declare(v.Name, refVal(ref{blk: blk, rank: len(dims)}))
 		if il, ok := v.Init.(*testlang.InitList); ok {
 			ex.fillInitList(blk, il)
 		}
@@ -84,13 +105,6 @@ func (ex *exec) declareVar(v *testlang.VarDecl, into *env) {
 		init = zeroValue(v.Type)
 	}
 	into.declare(v.Name, init)
-}
-
-func refOf(v value) (ref, bool) {
-	if v.k == kRef {
-		return v.r, true
-	}
-	return ref{}, false
 }
 
 // fillInitList writes a (possibly nested) brace initialiser into a
@@ -121,11 +135,14 @@ func (ex *exec) execStmt(s testlang.Stmt) {
 	ex.in.step()
 	switch n := s.(type) {
 	case *testlang.Block:
-		inner := ex.child(newEnv(ex.env))
+		env, scoped := ex.env, ex.scoped
+		ex.scoped = false
 		for _, st := range n.Stmts {
-			inner.execStmt(st)
+			ex.execStmt(st)
 		}
+		ex.env, ex.scoped = env, scoped
 	case *testlang.DeclStmt:
+		ex.openScope()
 		for _, d := range n.Decls {
 			ex.declareVar(d, ex.env)
 		}
@@ -162,13 +179,18 @@ func (ex *exec) execStmt(s testlang.Stmt) {
 }
 
 // runBody executes one loop iteration, absorbing continue and
-// reporting break.
+// reporting break. A Block or for statement restores ex's scope when
+// it completes; one cut short by continue or break is restored here,
+// the only place that resumes an exec after a panic.
 func (ex *exec) runBody(body testlang.Stmt) (brk bool) {
+	env, scoped := ex.env, ex.scoped
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
 		case continueSignal:
+			ex.env, ex.scoped = env, scoped
 		case breakSignal:
+			ex.env, ex.scoped = env, scoped
 			brk = true
 		default:
 			panic(r)
@@ -179,19 +201,18 @@ func (ex *exec) runBody(body testlang.Stmt) (brk bool) {
 }
 
 func (ex *exec) execFor(n *testlang.ForStmt) {
-	loopEx := ex.child(newEnv(ex.env))
-	loopEx.execStmt(n.Init)
-	for {
-		if n.Cond != nil && !loopEx.eval(n.Cond).truthy() {
-			return
-		}
-		if loopEx.runBody(n.Body) {
-			return
+	env, scoped := ex.env, ex.scoped
+	ex.scoped = false
+	ex.execStmt(n.Init)
+	for n.Cond == nil || ex.eval(n.Cond).truthy() {
+		if ex.runBody(n.Body) {
+			break
 		}
 		if n.Post != nil {
-			loopEx.eval(n.Post)
+			ex.eval(n.Post)
 		}
 	}
+	ex.env, ex.scoped = env, scoped
 }
 
 func (ex *exec) execWhile(n *testlang.WhileStmt) {
@@ -213,7 +234,7 @@ func (ex *exec) eval(e testlang.Expr) value {
 	case *testlang.FloatLitExpr:
 		return floatVal(n.Value)
 	case *testlang.StringLitExpr:
-		return strVal(n.Value)
+		return strVal(&n.Value)
 	case *testlang.CharLitExpr:
 		return intVal(int64(n.Value))
 	case *testlang.IdentExpr:
@@ -267,9 +288,9 @@ func (ex *exec) evalIdent(n *testlang.IdentExpr) value {
 	case "NULL":
 		return nullVal()
 	case "stderr":
-		return strVal("<stderr>")
+		return strVal(&stderrName)
 	case "stdout":
-		return strVal("<stdout>")
+		return strVal(&stdoutName)
 	case "RAND_MAX":
 		return intVal(2147483647)
 	case "EXIT_SUCCESS":
@@ -297,12 +318,13 @@ func (ex *exec) resolveIndex(n *testlang.IndexExpr) (r ref, off int) {
 	if !br.blk.materialized {
 		br.blk.materialize(testlang.Type{Base: "int"})
 	}
-	if len(br.dims) > 1 {
+	if br.rank > 1 {
+		dims := br.dims()
 		stride := 1
-		for _, d := range br.dims[1:] {
+		for _, d := range dims[1:] {
 			stride *= d
 		}
-		if idx < 0 || idx >= br.dims[0] {
+		if idx < 0 || idx >= dims[0] {
 			panic(ex.pointerFault())
 		}
 		return br, br.off + idx*stride
@@ -319,8 +341,8 @@ func (ex *exec) resolveIndex(n *testlang.IndexExpr) (r ref, off int) {
 // the element value.
 func (ex *exec) indexPlaceOrView(n *testlang.IndexExpr) value {
 	r, off := ex.resolveIndex(n)
-	if len(r.dims) > 1 {
-		return refVal(ref{blk: r.blk, off: off, dims: r.dims[1:]})
+	if r.rank > 1 {
+		return refVal(ref{blk: r.blk, off: off, rank: r.rank - 1})
 	}
 	return r.blk.cells[off]
 }
@@ -330,15 +352,15 @@ func (ex *exec) lvalue(e testlang.Expr) place {
 	switch n := e.(type) {
 	case *testlang.IdentExpr:
 		if c, ok := ex.env.lookup(n.Name); ok {
-			return cellPlace{c}
+			return place{c: c}
 		}
 		panic(segfault())
 	case *testlang.IndexExpr:
 		r, off := ex.resolveIndex(n)
-		if len(r.dims) > 1 {
+		if r.rank > 1 {
 			panic(ex.pointerFault()) // assigning to a whole row
 		}
-		return elemPlace{blk: r.blk, off: off}
+		return place{blk: r.blk, off: off}
 	case *testlang.UnaryExpr:
 		if n.Op == "*" {
 			v := ex.eval(n.X)
@@ -352,7 +374,7 @@ func (ex *exec) lvalue(e testlang.Expr) place {
 			if r.off < 0 || r.off >= len(r.blk.cells) {
 				panic(ex.pointerFault())
 			}
-			return elemPlace{blk: r.blk, off: r.off}
+			return place{blk: r.blk, off: r.off}
 		}
 	}
 	panic(segfault())
@@ -387,7 +409,7 @@ func coerceLike(dst, v value) value {
 		return floatVal(v.asFloat())
 	case kInt:
 		if v.k == kFloat {
-			return intVal(int64(v.f))
+			return intVal(int64(v.f()))
 		}
 		if v.k == kRef || v.k == kNull {
 			return v
@@ -404,14 +426,13 @@ func applyDelta(v value, op string) value {
 		d = -1
 	}
 	if v.k == kFloat {
-		return floatVal(v.f + float64(d))
+		return floatVal(v.f() + float64(d))
 	}
-	if v.k == kRef {
-		r := v.r
+	if r, ok := refOf(v); ok {
 		r.off += int(d)
 		return refVal(r)
 	}
-	return intVal(v.i + d)
+	return intVal(v.i() + d)
 }
 
 func (ex *exec) evalUnary(n *testlang.UnaryExpr) value {
@@ -421,7 +442,7 @@ func (ex *exec) evalUnary(n *testlang.UnaryExpr) value {
 	case "-":
 		v := ex.eval(n.X)
 		if v.k == kFloat {
-			return floatVal(-v.f)
+			return floatVal(-v.f())
 		}
 		return intVal(-v.asInt())
 	case "~":
@@ -531,15 +552,11 @@ func compare(op string, l, r value) value {
 }
 
 func pointerEqual(l, r value) bool {
-	ln := l.k == kNull || (l.k == kInt && l.i == 0)
-	rn := r.k == kNull || (r.k == kInt && r.i == 0)
+	ln, rn := l.isNullPtr(), r.isNullPtr()
 	if ln || rn {
 		return ln && rn
 	}
-	if l.k == kRef && r.k == kRef {
-		return l.r.blk == r.r.blk && l.r.off == r.r.off
-	}
-	return false
+	return l.k == kRef && r.k == kRef && l.blk == r.blk && l.bits == r.bits
 }
 
 func boolToInt(b bool) value {
@@ -630,6 +647,7 @@ func (ex *exec) callFunction(fd *testlang.FuncDecl, args []value) value {
 	callee := &exec{
 		in:          ex.in,
 		env:         fnEnv,
+		scoped:      true,
 		inDevice:    ex.inDevice,
 		workerID:    ex.workerID,
 		regionWidth: ex.regionWidth,

@@ -36,10 +36,10 @@ func partTwoSuite(t testing.TB, d spec.Dialect) []probe.ProbedFile {
 
 // TestGoldenExecutionDigest pins the observable result of Run on every
 // file of both dialects' Part-Two suites: return code, stdout, stderr,
-// trap and step count, hashed in suite order. The digest in
-// testdata/exec_digest.txt was recorded before the interpreter's data
-// layout was reworked; any behavioural change to the machine, including
-// a shifted step count, changes it. Files the dialect's compiler
+// trap and step count, hashed in suite order. Any change to the
+// machine's behaviour, including a shifted step count, changes the
+// digest; a deliberate one copies the reported digest into
+// testdata/exec_digest.txt and says why. Files the dialect's compiler
 // rejects enter the hash as a compile-failure marker.
 func TestGoldenExecutionDigest(t *testing.T) {
 	if testing.Short() {

@@ -162,10 +162,12 @@ func BenchmarkInterpreterMatmul(b *testing.B) {
 	if !res.OK {
 		b.Fatal(res.Stderr)
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := Run(res.Object, Options{})
 		if r.ReturnCode != 0 {
 			b.Fatal(r.Stderr)
 		}
 	}
+	b.ReportMetric(float64(Run(res.Object, Options{}).Steps), "steps/run")
 }

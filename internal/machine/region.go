@@ -114,7 +114,7 @@ func (ex *exec) hostBlockOf(name string, trapNull bool) *block {
 	}
 	switch c.v.k {
 	case kRef:
-		return c.v.r.blk
+		return c.v.blk
 	case kNull:
 		if trapNull {
 			panic(deviceFault(name, "in data clause is a null pointer"))
@@ -156,6 +156,7 @@ func (in *interp) ensurePresent(host *block, name string, copyIn bool, lo, n int
 	dev := &block{
 		cells:        make([]value, len(host.cells)),
 		elem:         host.elem,
+		dims:         host.dims,
 		materialized: true,
 		onDevice:     true,
 		name:         name,
@@ -337,7 +338,7 @@ func (ex *exec) deviceBindings(body testlang.Stmt, plan *compiler.DirPlan) (*env
 			panic(segfault())
 		}
 		if dev, present := ex.in.lookupPresent(host); present {
-			overlay.declare(name, refVal(ref{blk: dev, off: r.off, dims: r.dims}))
+			overlay.declare(name, refVal(ref{blk: dev, off: r.off, rank: r.rank}))
 			continue
 		}
 		if ex.in.obj.Dialect == spec.OpenACC {
@@ -348,16 +349,16 @@ func (ex *exec) deviceBindings(body testlang.Stmt, plan *compiler.DirPlan) (*env
 				host.materialize(testlang.Type{Base: "int"})
 			}
 			dev := ex.in.ensurePresent(host, name, true, 0, len(host.cells))
-			overlay.declare(name, refVal(ref{blk: dev, off: r.off, dims: r.dims}))
+			overlay.declare(name, refVal(ref{blk: dev, off: r.off, rank: r.rank}))
 			releases = append(releases, structuredRelease{host: host, varName: name, copyOut: true, lo: 0, n: len(host.cells)})
 			continue
 		}
 		// OpenMP 4.5: declared arrays (known size) are implicitly
 		// mapped tofrom; heap pointers are firstprivate and unusable on
 		// the device.
-		if len(r.dims) > 0 {
+		if r.rank > 0 {
 			dev := ex.in.ensurePresent(host, name, true, 0, len(host.cells))
-			overlay.declare(name, refVal(ref{blk: dev, off: r.off, dims: r.dims}))
+			overlay.declare(name, refVal(ref{blk: dev, off: r.off, rank: r.rank}))
 			releases = append(releases, structuredRelease{host: host, varName: name, copyOut: true, lo: 0, n: len(host.cells)})
 			continue
 		}
@@ -530,7 +531,7 @@ func (ex *exec) workerCount(plan *compiler.DirPlan) int {
 // well-formed tests the corpus emits.
 func (ex *exec) privatizeScalars(use *useSet, into *env) {
 	for name := range use.plainWrites {
-		if _, already := into.vars[name]; already {
+		if _, already := into.local(name); already {
 			continue
 		}
 		if c, ok := ex.env.lookup(name); ok && c.v.k != kRef {
